@@ -13,7 +13,6 @@ from .binding import (
 )
 from .core import (
     BLANK,
-    CodeBook,
     DirectedLabeledGraph,
     GraphError,
     LabeledGraph,
@@ -59,7 +58,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BLANK",
     "BindingGraph",
-    "CodeBook",
     "DirectedLabeledGraph",
     "GammaMatrix",
     "GiResult",

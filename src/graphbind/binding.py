@@ -83,43 +83,38 @@ def _normalized_simple(a: LabeledGraph, *, connected: bool = True) -> np.ndarray
     return (a.labels != BLANK).astype(np.int64)
 
 
+def _bind(basic: np.ndarray) -> BindingGraph:
+    """Binding graph over the 0/1 adjacency `basic` of the basic vertices."""
+    n = basic.shape[0]
+    n1 = n * (n + 1) // 2
+    out = np.zeros((n1, n1), dtype=np.int64)
+    out[:n, :n] = basic
+    binder: dict[tuple[int, int], int] = {}
+    for u in range(n):
+        for v in range(u + 1, n):
+            p = n + pair_rank(u, v, n)
+            binder[(u, v)] = p
+            out[u, p] = out[p, u] = 1
+            out[v, p] = out[p, v] = 1
+    return BindingGraph(graph=LabeledGraph(out), basic_n=n, binder=binder)
+
+
 def binding_graph(a: LabeledGraph) -> BindingGraph:
     """Attach one degree-2 binding vertex to every pair of basic vertices.
 
     Binding edges carry the same label as the basic edges, so the result is
     again a simple graph.
     """
-    n = a.n
-    if n <= 2:
+    if a.n <= 2:
         raise GraphError("binding graphs need more than two basic vertices")
-    adj = _normalized_simple(a)
-    n1 = n * (n + 1) // 2
-    out = np.zeros((n1, n1), dtype=np.int64)
-    out[:n, :n] = adj
-    binder: dict[tuple[int, int], int] = {}
-    for u in range(n):
-        for v in range(u + 1, n):
-            p = n + pair_rank(u, v, n)
-            binder[(u, v)] = p
-            out[u, p] = out[p, u] = 1
-            out[v, p] = out[p, v] = 1
-    return BindingGraph(graph=LabeledGraph(out), basic_n=n, binder=binder)
+    return _bind(_normalized_simple(a))
 
 
 def plain_binding_graph(n: int) -> BindingGraph:
     """Binding graph over an edgeless basic graph of order n."""
     if n < 2:
         raise GraphError("a plain binding graph needs at least two basic vertices")
-    n1 = n * (n + 1) // 2
-    out = np.zeros((n1, n1), dtype=np.int64)
-    binder: dict[tuple[int, int], int] = {}
-    for u in range(n):
-        for v in range(u + 1, n):
-            p = n + pair_rank(u, v, n)
-            binder[(u, v)] = p
-            out[u, p] = out[p, u] = 1
-            out[v, p] = out[p, v] = 1
-    return BindingGraph(graph=LabeledGraph(out), basic_n=n, binder=binder)
+    return _bind(np.zeros((n, n), dtype=np.int64))
 
 
 def wing_graph(a1: LabeledGraph, a2: LabeledGraph) -> LabeledGraph:

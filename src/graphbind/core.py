@@ -11,7 +11,7 @@ the blank survives only in user input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Hashable, Iterable, Sequence
 
 import numpy as np
@@ -133,56 +133,24 @@ def same_matrix(a: AnyGraph, b: AnyGraph) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Canonical byte encodings and the interning table.
+# Interning.  Both helpers number by first encounter: one for int arrays,
+# one dict for any hashable codes.
 
-def encode_code(code: Code) -> bytes:
-    """Deterministic byte encoding of a code; equal codes encode equally.
+def first_encounter_ids(keys: Iterable[Code], ids: dict[Code, int]) -> list[int]:
+    """Label each key with its id in `ids`, issuing 1, 2, ... to new keys.
 
-    Supports ints, strings, bytes and (nested) tuples.  Encodings are
-    length-prefixed so distinct codes never collide.
+    Ids follow first encounter and never include the blank 0.  Passing the
+    same `ids` dict to several calls continues one numbering across them.
     """
-    if isinstance(code, bool):
-        raise TypeError("booleans are ambiguous codes")
-    if isinstance(code, (int, np.integer)):
-        body = str(int(code)).encode()
-        return b"i" + len(body).to_bytes(4, "little") + body
-    if isinstance(code, bytes):
-        return b"b" + len(code).to_bytes(4, "little") + code
-    if isinstance(code, str):
-        body = code.encode()
-        return b"s" + len(body).to_bytes(4, "little") + body
-    if isinstance(code, tuple):
-        parts = [encode_code(part) for part in code]
-        body = b"".join(parts)
-        return b"t" + len(parts).to_bytes(4, "little") + body
-    raise TypeError(f"unsupported code type {type(code).__name__}")
+    return [ids.setdefault(key, len(ids) + 1) for key in keys]
 
 
-def encode_label_multiset(labels: Iterable[int]) -> bytes:
-    """Length-prefixed sorted byte sequence: multiset equality is byte equality."""
-    arr = np.sort(np.asarray(list(labels), dtype=np.int64))
-    return arr.size.to_bytes(8, "little") + arr.tobytes()
-
-
-@dataclass
-class CodeBook:
-    """Interning table mapping canonical byte encodings to fresh label ids.
-
-    Ids are issued in first-encounter order starting at `next_id`; id 0 is
-    never issued (it is the reserved blank).  A book lives for a single
-    substitution round.
-    """
-
-    entries: dict[bytes, int] = field(default_factory=dict)
-    next_id: int = 1
-
-    def intern(self, key: bytes) -> int:
-        label = self.entries.get(key)
-        if label is None:
-            label = self.next_id
-            self.entries[key] = label
-            self.next_id += 1
-        return label
+def first_encounter_relabel(arr: np.ndarray) -> np.ndarray:
+    """Map distinct values of `arr` to 1..d by first encounter in row-major order."""
+    flat = np.asarray(arr).ravel()
+    _, first, inverse = np.unique(flat, return_index=True, return_inverse=True)
+    rank = np.argsort(np.argsort(first)) + 1
+    return rank[inverse].reshape(np.asarray(arr).shape).astype(np.int64)
 
 
 def equivalent_variable_substitution(
@@ -203,19 +171,10 @@ def equivalent_variable_substitution(
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise GraphError("code matrix must be square")
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rows[i][j] != rows[j][i]:
-                raise SymmetryError(f"codes differ at ({i},{j}) and ({j},{i})")
-    book = CodeBook()
-    out = np.zeros((n, n), dtype=np.int64)
-    blank_key = None if blank_code is None else encode_code(blank_code)
-    for i in range(n):
-        for j in range(i, n):
-            key = encode_code(rows[i][j])
-            label = BLANK if key == blank_key else book.intern(key)
-            out[i, j] = out[j, i] = label
-    return LabeledGraph(out)
+    ids: dict[Code, int] = {}
+    flat = first_encounter_ids((code for row in rows for code in row), ids)
+    arr = np.array(flat, dtype=np.int64).reshape(n, n)
+    return _substitute_int_matrix(arr, None if blank_code is None else ids.get(blank_code))
 
 
 def _substitute_int_matrix(codes: np.ndarray, blank_code: Code | None) -> LabeledGraph:
@@ -236,14 +195,6 @@ def _substitute_int_matrix(codes: np.ndarray, blank_code: Code | None) -> Labele
         remap[keep] = np.arange(1, keep.size + 1)
         return LabeledGraph(np.where(mask, BLANK, remap[out]))
     return LabeledGraph(out)
-
-
-def first_encounter_relabel(arr: np.ndarray) -> np.ndarray:
-    """Map distinct values of `arr` to 1..d by first encounter in row-major order."""
-    flat = np.asarray(arr).ravel()
-    _, first, inverse = np.unique(flat, return_index=True, return_inverse=True)
-    rank = np.argsort(np.argsort(first)) + 1
-    return rank[inverse].reshape(np.asarray(arr).shape).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------

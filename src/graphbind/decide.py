@@ -73,12 +73,10 @@ def gi_decide(
         raise GraphError(f"unknown process {process!r}")
 
     n = a1.n
-    wing = wing_graph(a1, a2)
-    bound = binding_graph(wing)
-    if bound.n1 > max_binding_order:
-        raise GraphError(
-            f"binding graph order {bound.n1} exceeds the budget {max_binding_order}"
-        )
+    order = (2 * n + 1) * (2 * n + 2) // 2
+    if order > max_binding_order:
+        raise GraphError(f"binding graph order {order} exceeds the budget {max_binding_order}")
+    bound = binding_graph(wing_graph(a1, a2))
     trace: StabilizationTrace = (
         sas_stabilize(bound.graph) if process == "sas" else wl_stabilize(bound.graph)
     )

@@ -21,6 +21,7 @@ from __future__ import annotations
 import random
 import warnings
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -80,35 +81,25 @@ class GammaMatrix:
         )
 
 
-def gamma_matrix(a: LabeledGraph, t: int) -> GammaMatrix:
-    """Exact symbolic powers 0..t of the label matrix, entry by entry.
+def walk_powers(labels: np.ndarray, t: int) -> Iterator[list[list[dict[tuple[int, ...], int]]]]:
+    """Yield the exact walk polynomials of lengths 1..t of a symmetric matrix.
 
-    Entries count genuine walks only: a blank step annihilates the product,
-    so monomials never contain the blank label.
+    Entry (u, v) of the k-th matrix maps each monomial (the sorted labels
+    along a length-k walk from u to v) to its number of walks.  A blank step
+    annihilates the product, so monomials never contain the blank label.
+    Only the upper triangle is expanded; each lower entry is the same dict as
+    its mirror.  Raises BudgetExceededError once the terms stored for lengths
+    2.. exceed GAMMA_TERM_BUDGET.
     """
-    if t < 0:
-        raise GraphError("truncation must be non-negative")
-    n = a.n
-    m = a.labels.tolist()
+    if t < 1:
+        return
+    m = np.asarray(labels).tolist()
+    n = len(m)
     total_terms = 0
-    # power_terms[u][v]: monomial -> count for walks of the current length.
-    power: list[list[dict[tuple[int, ...], int]]] = [
-        [({(m[u][v],): 1} if m[u][v] != BLANK else {}) for v in range(n)]
-        for u in range(n)
-    ]
-    collected: list[list[dict[int, WalkPolynomial]]] = [
-        [({0: WalkPolynomial({(): 1})} if u == v else {}) for v in range(n)]
-        for u in range(n)
-    ]
-    if t >= 1:
-        for u in range(n):
-            for v in range(n):
-                if power[u][v]:
-                    collected[u][v][1] = WalkPolynomial(dict(power[u][v]))
+    power = [[({(m[u][v],): 1} if m[u][v] != BLANK else {}) for v in range(n)] for u in range(n)]
+    yield power
     for k in range(2, t + 1):
-        nxt: list[list[dict[tuple[int, ...], int]]] = [
-            [dict() for _ in range(n)] for _ in range(n)
-        ]
+        nxt: list[list[dict[tuple[int, ...], int]]] = [[{} for _ in range(n)] for _ in range(n)]
         for u in range(n):
             for w in range(n):
                 partial = power[u][w]
@@ -132,6 +123,19 @@ def gamma_matrix(a: LabeledGraph, t: int) -> GammaMatrix:
                 f"walk polynomials exceeded {GAMMA_TERM_BUDGET} stored terms at length {k}"
             )
         power = nxt
+        yield power
+
+
+def gamma_matrix(a: LabeledGraph, t: int) -> GammaMatrix:
+    """Exact symbolic powers 0..t of the label matrix, entry by entry."""
+    if t < 0:
+        raise GraphError("truncation must be non-negative")
+    n = a.n
+    collected: list[list[dict[int, WalkPolynomial]]] = [
+        [({0: WalkPolynomial({(): 1})} if u == v else {}) for v in range(n)]
+        for u in range(n)
+    ]
+    for k, power in enumerate(walk_powers(a.labels, t), start=1):
         for u in range(n):
             for v in range(n):
                 if power[u][v]:

@@ -12,22 +12,22 @@ kept as `numeric_ff_stabilize` purely to demonstrate the failure mode.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import (
     AnyGraph,
-    CodeBook,
     DirectedLabeledGraph,
     GraphError,
     LabeledGraph,
     dim,
+    first_encounter_ids,
     first_encounter_relabel,
     is_equivalent,
     is_simple,
 )
+from .descgraph import walk_powers
 
 K_POWER_LIMIT = 4
 
@@ -63,18 +63,6 @@ def _require_recognizing(g: AnyGraph) -> None:
         raise VertexRecognitionError("input must recognize vertices; seed it first")
 
 
-def _intern_rows(blocks: list[np.ndarray]) -> tuple[list[np.ndarray], int]:
-    """Intern byte-encoded sorted code rows in traversal order."""
-    book = CodeBook()
-    out = []
-    for block in blocks:
-        labels = np.empty(block.shape[0], dtype=np.int64)
-        for i in range(block.shape[0]):
-            labels[i] = book.intern(block[i].tobytes())
-        out.append(labels)
-    return out, book.next_id - 1
-
-
 def sas_step(g: LabeledGraph) -> LabeledGraph:
     """One square-and-substitution round.
 
@@ -88,18 +76,14 @@ def sas_step(g: LabeledGraph) -> LabeledGraph:
     m = g.labels
     n = g.n
     stride = int(m.max()) + 1
-    blocks = []
+    ids: dict[bytes, int] = {}
+    out = np.empty((n, n), dtype=np.int64)
     for u in range(n):
         row = m[u]
         rest = m[u:]
         pair = np.minimum(row, rest) * stride + np.maximum(row, rest)
         pair.sort(axis=1)
-        blocks.append(pair)
-    interned, _ = _intern_rows(blocks)
-    out = np.empty((n, n), dtype=np.int64)
-    for u, labels in enumerate(interned):
-        out[u, u:] = labels
-        out[u:, u] = labels
+        out[u, u:] = out[u:, u] = first_encounter_ids((code.tobytes() for code in pair), ids)
     return LabeledGraph(out)
 
 
@@ -114,13 +98,13 @@ def wl_step(g: DirectedLabeledGraph) -> DirectedLabeledGraph:
     n = g.n
     mt = np.ascontiguousarray(m.T)
     stride = int(m.max()) + 1
-    blocks = []
+    ids: dict[bytes, int] = {}
+    out = np.empty((n, n), dtype=np.int64)
     for u in range(n):
         pair = m[u] * stride + mt
         pair.sort(axis=1)
-        blocks.append(pair)
-    interned, _ = _intern_rows(blocks)
-    return DirectedLabeledGraph(np.vstack(interned))
+        out[u] = first_encounter_ids((code.tobytes() for code in pair), ids)
+    return DirectedLabeledGraph(out)
 
 
 def kpower_step(g: LabeledGraph, k: int) -> LabeledGraph:
@@ -128,46 +112,21 @@ def kpower_step(g: LabeledGraph, k: int) -> LabeledGraph:
 
     Entry (u,v) is the multiset, over all length-k walks from u to v through
     arbitrary intermediate vertices, of the sorted multiset of the k labels
-    along the walk.  Walk multisets are accumulated as monomial -> count
-    maps to bound memory.  For k=2 this coincides with `sas_step`.
+    along the walk.  The walks are expanded by the description-graph walk
+    expander, so they share its term budget.  For k=2 this coincides with
+    `sas_step`.
     """
     if k < 2:
         raise GraphError(f"k must be at least 2, got {k}")
     if k > K_POWER_LIMIT:
         raise GraphError(f"k-power rounds are limited to k <= {K_POWER_LIMIT} at desk scale")
     _require_recognizing(g)
-    m = g.labels.tolist()
-    n = g.n
-    walks = [[Counter({(m[u][v],): 1}) for v in range(n)] for u in range(n)]
-    for _ in range(k - 1):
-        nxt = [[Counter() for _ in range(n)] for _ in range(n)]
-        for u in range(n):
-            for w in range(n):
-                partial = walks[u][w]
-                row_w = m[w]
-                for v in range(n):
-                    label = row_w[v]
-                    bucket = nxt[u][v]
-                    for mono, count in partial.items():
-                        bucket[tuple(sorted(mono + (label,)))] += count
-        walks = nxt
-    codes = [[tuple(sorted(walks[u][v].items())) for v in range(n)] for u in range(n)]
-    return LabeledGraph(_substitute_code_rows(codes))
-
-
-def _substitute_code_rows(codes: list[list[tuple]]) -> np.ndarray:
-    n = len(codes)
-    ids: dict[tuple, int] = {}
-    out = np.empty((n, n), dtype=np.int64)
-    for u in range(n):
-        for v in range(n):
-            key = codes[u][v]
-            label = ids.get(key)
-            if label is None:
-                label = len(ids) + 1
-                ids[key] = label
-            out[u, v] = label
-    return out
+    # Shift every label off the blank so that every entry is a walk variable;
+    # only the length-k matrix is kept.
+    for walks in walk_powers(g.labels + 1, k):
+        pass
+    codes = (tuple(sorted(entry.items())) for row in walks for entry in row)
+    return LabeledGraph(np.array(first_encounter_ids(codes, {}), dtype=np.int64).reshape(g.n, g.n))
 
 
 @dataclass
@@ -211,12 +170,6 @@ def kpower_stabilize(g: LabeledGraph, k: int) -> StabilizationTrace:
     return _stabilize(seed_recognize_vertices(g), lambda x: kpower_step(x, k))
 
 
-def numeric_ff_substitution(matrix: np.ndarray) -> np.ndarray:
-    """First-come-first-served renumbering: value -> 1-based position in the
-    row-major list of first appearances."""
-    return first_encounter_relabel(np.asarray(matrix, dtype=np.int64))
-
-
 def numeric_ff_stabilize(g: LabeledGraph, max_rounds: int | None = None) -> StabilizationTrace:
     """The numeric pitfall procedure: integer squaring with ff renumbering.
 
@@ -235,7 +188,7 @@ def numeric_ff_stabilize(g: LabeledGraph, max_rounds: int | None = None) -> Stab
     limit = max_rounds if max_rounds is not None else g.n * (g.n + 1) // 2 + 5
     for rounds in range(1, limit + 1):
         squared = current @ current
-        renumbered = numeric_ff_substitution(squared)
+        renumbered = first_encounter_relabel(squared)
         dims.append(int(np.unique(renumbered).size))
         if is_equivalent(LabeledGraph(renumbered), LabeledGraph(current)):
             return StabilizationTrace(stable=LabeledGraph(current), rounds=rounds, dims=dims)

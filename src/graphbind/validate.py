@@ -520,17 +520,28 @@ def validate_suite(spec: CorpusSpec | None = None) -> dict:
     return report
 
 
-def bench(sizes: list[int] | None = None, seed: int = 7, repeats: int = 1) -> dict:
-    """Timing and round-growth table, with a log-log slope sanity check."""
+def _timed(fn, arg, repeats: int):
+    """Result of one untimed warm-up call fn(arg), and the median of `repeats` timed calls."""
+    result = fn(arg)
+    seconds = []
+    for _ in range(repeats):
+        started = time.perf_counter()
+        fn(arg)
+        seconds.append(time.perf_counter() - started)
+    return result, float(np.median(seconds))
+
+
+def bench(sizes: list[int] | None = None, seed: int = 7, repeats: int = 3) -> dict:
+    """Timing and round-growth table, with a log-log slope sanity check.
+
+    Every timing is the median of `repeats` calls after one warm-up call.
+    """
     sizes = sizes or [8, 12, 16, 20]
     rows = []
     rng = np.random.default_rng(seed)
     for n in sizes:
         g = random_connected_graph(n, 0.5, seed=int(rng.integers(2**32)))
-        started = time.perf_counter()
-        for _ in range(repeats):
-            trace = sas_stabilize(g)
-        elapsed = (time.perf_counter() - started) / repeats
+        trace, elapsed = _timed(sas_stabilize, g, repeats)
         rows.append(
             {
                 "family": "random",
@@ -550,9 +561,7 @@ def bench(sizes: list[int] | None = None, seed: int = 7, repeats: int = 1) -> di
     for n in (6, 8, 10):
         g = random_connected_graph(n, 0.5, seed=int(rng.integers(2**32)))
         b = binding_graph(g)
-        started = time.perf_counter()
-        trace = sas_stabilize(b.graph)
-        elapsed = time.perf_counter() - started
+        trace, elapsed = _timed(sas_stabilize, b.graph, repeats)
         binding_rows.append(
             {
                 "family": "binding",

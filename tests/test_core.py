@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from graphbind.core import (
     BLANK,
-    CodeBook,
     DirectedLabeledGraph,
     GraphError,
     LabeledGraph,
@@ -17,9 +16,8 @@ from graphbind.core import (
     Partition,
     SymmetryError,
     dim,
-    encode_code,
-    encode_label_multiset,
     equivalent_variable_substitution,
+    first_encounter_ids,
     induced_subgraph,
     is_equivalent,
     is_imbedded,
@@ -117,6 +115,11 @@ class TestSubstitution:
         again = equivalent_variable_substitution(m)
         assert np.array_equal(out.labels, again.labels)
 
+    def test_distinct_code_types_get_distinct_labels(self):
+        for a, b in [(1, "1"), ((1, 2), (12,)), (b"ab", ("ab",))]:
+            out = equivalent_variable_substitution([[a, b], [b, a]])
+            assert out.labels.tolist() == [[1, 2], [2, 1]]
+
     def test_object_and_integer_paths_agree(self):
         rng = np.random.default_rng(11)
         g = random_symmetric(rng, 6, 5)
@@ -204,27 +207,19 @@ class TestDim:
         assert dim(g) <= 6 * 7 // 2
 
 
-class TestCodeBook:
+class TestFirstEncounterIds:
     def test_injective_and_stable(self):
-        book = CodeBook()
-        a = book.intern(b"one")
-        b_ = book.intern(b"two")
-        assert a == 1 and b_ == 2
-        assert book.intern(b"one") == 1
-        assert book.intern(b"two") == 2
+        ids = {}
+        assert first_encounter_ids([b"one", b"two", b"one", b"two"], ids) == [1, 2, 1, 2]
 
     def test_never_issues_blank(self):
-        book = CodeBook()
-        assert BLANK not in {book.intern(bytes([k])) for k in range(20)}
+        assert BLANK not in first_encounter_ids((bytes([k]) for k in range(20)), {})
 
-    def test_encode_code_distinguishes_types(self):
-        assert encode_code(1) != encode_code("1")
-        assert encode_code((1, 2)) != encode_code((12,))
-        assert encode_code(b"ab") != encode_code(("ab",))
-
-    def test_multiset_encoding_is_order_free(self):
-        assert encode_label_multiset([3, 1, 2]) == encode_label_multiset([2, 3, 1])
-        assert encode_label_multiset([1, 1]) != encode_label_multiset([1])
+    def test_numbering_continues_across_calls(self):
+        ids = {}
+        assert first_encounter_ids(["a", "b"], ids) == [1, 2]
+        assert first_encounter_ids(["c", "a", "d"], ids) == [3, 1, 4]
+        assert ids == {"a": 1, "b": 2, "c": 3, "d": 4}
 
 
 class TestHelpers:

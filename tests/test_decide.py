@@ -45,6 +45,17 @@ class TestPreconditions:
         with pytest.raises(GraphError):
             gi_decide(g, g, max_binding_order=100)
 
+    def test_budget_checked_before_building(self, monkeypatch):
+        import graphbind.decide
+
+        def forbidden(*args):
+            raise AssertionError("binding graph built past the budget")
+
+        monkeypatch.setattr(graphbind.decide, "binding_graph", forbidden)
+        g = cycle_graph(40)
+        with pytest.raises(GraphError, match="exceeds the budget 100"):
+            gi_decide(g, g, max_binding_order=100)
+
     def test_rejects_unknown_process(self):
         with pytest.raises(GraphError):
             gi_decide(cycle_graph(4), cycle_graph(4), process="magic")

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphbind.core import (
+    BLANK,
     DirectedLabeledGraph,
     GraphError,
     LabeledGraph,
@@ -23,6 +24,7 @@ from graphbind.corpus import (
     random_graph,
     random_permutation,
 )
+from graphbind.descgraph import BudgetExceededError
 from graphbind.partition import vertex_partition
 from graphbind.refine import (
     VertexRecognitionError,
@@ -55,6 +57,48 @@ def brute_pair_codes(g: LabeledGraph) -> list[list[tuple]]:
         ]
         for u in range(n)
     ]
+
+
+def brute_ordered_pair_codes(g) -> list[list[tuple]]:
+    """Definitional oracle: entry (u,v) is the sorted multiset of ordered
+    label pairs (g[u][k], g[k][v]) over all intermediate vertices k."""
+    n = g.n
+    m = g.labels
+    return [
+        [tuple(sorted((int(m[u, k]), int(m[k, v])) for k in range(n))) for v in range(n)]
+        for u in range(n)
+    ]
+
+
+def brute_walk_codes(g: LabeledGraph, k: int) -> list[list[tuple]]:
+    """Definitional oracle: entry (u,v) is the sorted multiset, over all
+    length-k walks from u to v, of the sorted labels along the walk."""
+    from itertools import product
+
+    n = g.n
+    m = g.labels
+    return [
+        [
+            tuple(
+                sorted(
+                    tuple(sorted(int(m[a, b]) for a, b in zip((u, *mid), (*mid, v))))
+                    for mid in product(range(n), repeat=k - 1)
+                )
+            )
+            for v in range(n)
+        ]
+        for u in range(n)
+    ]
+
+
+def numbered(codes: list[list[tuple]]) -> np.ndarray:
+    """Label codes 1, 2, ... by first encounter in row-major order."""
+    first: dict[tuple, int] = {}
+    for row in codes:
+        for code in row:
+            if code not in first:
+                first[code] = len(first) + 1
+    return np.array([[first[code] for code in row] for row in codes])
 
 
 class TestSeed:
@@ -104,6 +148,14 @@ class TestSasStep:
                                 codes[u][v] == codes[r][s]
                             )
 
+    def test_numbering_matches_definitional_oracle(self):
+        for seed in range(4):
+            g = seed_recognize_vertices(random_graph(7, 0.5, seed=200 + seed))
+            for _ in range(2):
+                out = sas_step(g)
+                assert np.array_equal(out.labels, numbered(brute_pair_codes(g)))
+                g = out
+
     def test_stable_graph_is_fixpoint(self, reference):
         stable = as_graph(reference["g21_stable"])
         assert is_equivalent(sas_step(stable), stable)
@@ -128,6 +180,14 @@ class TestWlStep:
         g = DirectedLabeledGraph(np.array([[2, 1], [1, 3]]))
         out = wl_step(g)
         assert out.labels[0, 1] != out.labels[1, 0]
+
+    def test_numbering_matches_definitional_oracle(self):
+        for seed in range(4):
+            g = DirectedLabeledGraph(seed_recognize_vertices(random_graph(7, 0.5, seed=300 + seed)).labels)
+            for _ in range(2):
+                out = wl_step(g)
+                assert np.array_equal(out.labels, numbered(brute_ordered_pair_codes(g)))
+                g = out
 
     def test_output_converse_equivalent_on_random_graphs(self):
         for seed in range(6):
@@ -180,22 +240,26 @@ class TestKPower:
         assert d[0] == d[2] != d[1]
 
     def test_k3_matches_walk_enumeration(self):
-        from itertools import product
-
         g = seeded_p3()
-        m = g.labels
         out = kpower_step(g, 3)
-        codes = {}
-        for u in range(3):
-            for v in range(3):
-                walks = sorted(
-                    tuple(sorted((int(m[u, a]), int(m[a, b]), int(m[b, v]))))
-                    for a, b in product(range(3), repeat=2)
-                )
-                codes[(u, v)] = tuple(walks)
+        walks = brute_walk_codes(g, 3)
+        codes = {(u, v): walks[u][v] for u in range(3) for v in range(3)}
         for p1, c1 in codes.items():
             for p2, c2 in codes.items():
                 assert (out.labels[p1] == out.labels[p2]) == (c1 == c2)
+
+    def test_k3_numbering_matches_definitional_oracle(self):
+        for seed in range(3):
+            g = seed_recognize_vertices(random_graph(6, 0.5, seed=400 + seed))
+            assert BLANK in g.labels
+            assert np.array_equal(kpower_step(g, 3).labels, numbered(brute_walk_codes(g, 3)))
+
+    def test_budget_guard(self, monkeypatch):
+        import graphbind.descgraph as mod
+
+        monkeypatch.setattr(mod, "GAMMA_TERM_BUDGET", 10)
+        with pytest.raises(BudgetExceededError):
+            kpower_step(seeded_p3(), 3)
 
     def test_stable_is_fixpoint_of_cubes(self, reference):
         stable = sas_stabilize(as_graph(reference["g8"])).stable
