@@ -24,12 +24,9 @@ from .core import (
 )
 from .decide import GiResult, gi_decide
 from .descgraph import (
-    GammaMatrix,
     SpectralDecomposition,
-    WalkPolynomial,
     adjoint_description_graph,
     gamma_description_graph,
-    gamma_matrix,
     spectral_decomposition,
     spectral_description_graph,
 )
@@ -59,14 +56,12 @@ __all__ = [
     "BLANK",
     "BindingGraph",
     "DirectedLabeledGraph",
-    "GammaMatrix",
     "GiResult",
     "GraphError",
     "LabeledGraph",
     "Partition",
     "SpectralDecomposition",
     "StabilizationTrace",
-    "WalkPolynomial",
     "adjoint_description_graph",
     "automorphism_orbits",
     "binding_graph",
@@ -78,7 +73,6 @@ __all__ = [
     "dim",
     "equivalent_variable_substitution",
     "gamma_description_graph",
-    "gamma_matrix",
     "gi_decide",
     "is_equitable",
     "is_equivalent",

@@ -61,12 +61,6 @@ class BindingGraph:
             raise GraphError("a pair consists of two distinct basic vertices")
         return self.binder[(min(u, v), max(u, v))]
 
-    def bound_pair(self, p: int) -> tuple[int, int]:
-        for pair, q in self.binder.items():
-            if q == p:
-                return pair
-        raise GraphError(f"{p} is not a binding vertex")
-
 
 def pair_rank(u: int, v: int, n: int) -> int:
     """Lexicographic rank of the pair (u, v), u < v, among all pairs of [0..n)."""

@@ -14,14 +14,14 @@ import sys
 from . import __version__
 from .binding import binding_graph, build_phi, build_psi, build_theta
 from .core import DirectedLabeledGraph, GraphError, LabeledGraph
-from .decide import gi_decide
+from .decide import DEFAULT_MAX_BINDING_ORDER, gi_decide
 from .descgraph import (
     DEFAULT_ADJOINT_PRIME,
     adjoint_description_graph,
     gamma_description_graph,
     spectral_description_graph,
 )
-from .graphio import FORMATS, guess_format, read_graph, write_graph
+from .graphio import FORMATS, guess_format, read_graph, write_directed_graph, write_graph
 from .oracle import automorphism_orbits, is_isomorphic_bruteforce
 from .partition import partition_json
 from .refine import kpower_stabilize, sas_stabilize, wl_stabilize
@@ -37,11 +37,9 @@ def _write(g, path: str, fmt: str | None) -> None:
     if isinstance(g, DirectedLabeledGraph):
         if fmt != "matrix-json":
             raise GraphError("directed outputs are written as matrix-json only")
-        with open(path, "w", encoding="ascii") as fh:
-            json.dump({"n": g.n, "labels": g.labels.tolist()}, fh)
-            fh.write("\n")
-        return
-    write_graph(g, path, fmt)
+        write_directed_graph(g, path)
+    else:
+        write_graph(g, path, fmt)
 
 
 def _add_io_arguments(parser: argparse.ArgumentParser, output: bool = True) -> None:
@@ -214,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=FORMATS, default=None)
     p.add_argument("--process", choices=["sas", "wl"], default="sas")
     p.add_argument("--json", help="write the decision trace as JSON")
-    p.add_argument("--max-binding-order", type=int, default=5000)
+    p.add_argument("--max-binding-order", type=int, default=DEFAULT_MAX_BINDING_ORDER)
     p.set_defaults(func=cmd_gi)
 
     p = sub.add_parser("validate", help="run the audit suite over the default corpus")

@@ -16,10 +16,7 @@ from typing import Hashable, Iterable, Sequence
 
 import numpy as np
 
-#: Label identifiers are plain non-negative ints; 0 is the reserved blank
-#: (never issued by interning).
-LabelId = int
-
+#: The reserved blank label; interning never assigns it.
 BLANK = 0
 
 Code = Hashable
@@ -153,48 +150,27 @@ def first_encounter_relabel(arr: np.ndarray) -> np.ndarray:
     return rank[inverse].reshape(np.asarray(arr).shape).astype(np.int64)
 
 
-def equivalent_variable_substitution(
-    codes: Sequence[Sequence[Code]] | np.ndarray,
-    *,
-    blank_code: Code | None = None,
-) -> LabeledGraph:
+def equivalent_variable_substitution(codes: Sequence[Sequence[Code]] | np.ndarray) -> LabeledGraph:
     """Relabel a symmetric matrix of opaque codes into a LabeledGraph.
 
     Identical codes receive identical labels and distinct codes distinct
     labels, so the result is equivalent to the input.  Labels are assigned
-    by first encounter in row-major order starting from 1; entries equal to
-    `blank_code` (when given) map to the reserved blank 0.
+    by first encounter in row-major order starting from 1.
     """
     if isinstance(codes, np.ndarray) and np.issubdtype(codes.dtype, np.integer):
-        return _substitute_int_matrix(codes, blank_code)
-    rows = [list(row) for row in codes]
-    n = len(rows)
-    if any(len(row) != n for row in rows):
-        raise GraphError("code matrix must be square")
-    ids: dict[Code, int] = {}
-    flat = first_encounter_ids((code for row in rows for code in row), ids)
-    arr = np.array(flat, dtype=np.int64).reshape(n, n)
-    return _substitute_int_matrix(arr, None if blank_code is None else ids.get(blank_code))
-
-
-def _substitute_int_matrix(codes: np.ndarray, blank_code: Code | None) -> LabeledGraph:
-    arr = np.asarray(codes, dtype=np.int64)
+        arr = codes.astype(np.int64, copy=False)
+    else:
+        rows = [list(row) for row in codes]
+        n = len(rows)
+        if any(len(row) != n for row in rows):
+            raise GraphError("code matrix must be square")
+        flat = first_encounter_ids((code for row in rows for code in row), {})
+        arr = np.array(flat, dtype=np.int64).reshape(n, n)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise GraphError("code matrix must be square")
     if not np.array_equal(arr, arr.T):
         raise SymmetryError("code matrix must be symmetric")
-    out = first_encounter_relabel(arr)
-    if blank_code is not None:
-        mask = arr == int(blank_code)  # type: ignore[arg-type]
-        if mask.all():
-            return LabeledGraph(np.zeros_like(arr))
-        # Renumber the non-blank classes only; their encounter order equals
-        # their id order, so sorted ids give the new 1..d numbering directly.
-        keep = np.unique(out[~mask])
-        remap = np.zeros(int(out.max()) + 1, dtype=np.int64)
-        remap[keep] = np.arange(1, keep.size + 1)
-        return LabeledGraph(np.where(mask, BLANK, remap[out]))
-    return LabeledGraph(out)
+    return LabeledGraph(first_encounter_relabel(arr))
 
 
 # ---------------------------------------------------------------------------

@@ -17,10 +17,6 @@ def from_edges(n: int, edges) -> LabeledGraph:
     return LabeledGraph(out)
 
 
-def empty_graph(n: int) -> LabeledGraph:
-    return LabeledGraph(np.zeros((n, n), dtype=np.int64))
-
-
 def complete_graph(n: int) -> LabeledGraph:
     return from_edges(n, combinations(range(n), 2))
 

@@ -46,41 +46,6 @@ class BudgetExceededError(GraphError):
     """Exact walk polynomials outgrew the configured memory budget."""
 
 
-@dataclass(frozen=True)
-class WalkPolynomial:
-    """Exact symbolic entry of a matrix power.
-
-    `terms` maps a monomial (sorted tuple of labels along a walk) to its
-    positive multiplicity; the empty monomial encodes the constant 1 coming
-    from the zeroth power.
-    """
-
-    terms: dict[tuple[int, ...], int]
-
-    def __post_init__(self) -> None:
-        for mono, count in self.terms.items():
-            if count <= 0:
-                raise GraphError("walk polynomials store positive multiplicities only")
-            if tuple(sorted(mono)) != mono:
-                raise GraphError("monomials are sorted label tuples")
-
-    def canonical(self) -> tuple[tuple[tuple[int, ...], int], ...]:
-        return tuple(sorted(self.terms.items()))
-
-
-@dataclass(frozen=True)
-class GammaMatrix:
-    """Truncated walk-generating matrix: per entry, one polynomial per length."""
-
-    n: int
-    entries: tuple[tuple[dict[int, WalkPolynomial], ...], ...]
-
-    def signature(self, i: int, j: int) -> tuple:
-        return tuple(
-            (k, poly.canonical()) for k, poly in sorted(self.entries[i][j].items())
-        )
-
-
 def walk_powers(labels: np.ndarray, t: int) -> Iterator[list[list[dict[tuple[int, ...], int]]]]:
     """Yield the exact walk polynomials of lengths 1..t of a symmetric matrix.
 
@@ -126,35 +91,28 @@ def walk_powers(labels: np.ndarray, t: int) -> Iterator[list[list[dict[tuple[int
         yield power
 
 
-def gamma_matrix(a: LabeledGraph, t: int) -> GammaMatrix:
-    """Exact symbolic powers 0..t of the label matrix, entry by entry."""
-    if t < 0:
-        raise GraphError("truncation must be non-negative")
-    n = a.n
-    collected: list[list[dict[int, WalkPolynomial]]] = [
-        [({0: WalkPolynomial({(): 1})} if u == v else {}) for v in range(n)]
-        for u in range(n)
-    ]
-    for k, power in enumerate(walk_powers(a.labels, t), start=1):
-        for u in range(n):
-            for v in range(n):
-                if power[u][v]:
-                    collected[u][v][k] = WalkPolynomial(dict(power[u][v]))
-    return GammaMatrix(n=n, entries=tuple(tuple(row) for row in collected))
-
-
 def gamma_description_graph(a: LabeledGraph, t: int | None = None) -> LabeledGraph:
     """Description graph via exact truncated walk counting.
 
-    `t=None` uses the always-sufficient truncation n-1 (the degree of the
-    minimum polynomial, minus one, already suffices but need not be known).
+    Entry (u, v) is coded by its walk polynomials of lengths 0..t: one
+    `(k, sorted monomial counts)` per non-empty length k, where length 0 is
+    the constant 1 on the diagonal.  `t=None` uses the always-sufficient
+    truncation n-1 (the degree of the minimum polynomial, minus one, already
+    suffices but need not be known).
     """
     truncation = a.n - 1 if t is None else t
+    if truncation < 0:
+        raise GraphError("truncation must be non-negative")
     if a.n == 1:
         return LabeledGraph(np.array([[1]]))
-    gm = gamma_matrix(a, truncation)
-    codes = [[("sig", gm.signature(u, v)) for v in range(a.n)] for u in range(a.n)]
-    return equivalent_variable_substitution(codes)
+    n = a.n
+    entries = [[[(0, ((), 1))] if u == v else [] for v in range(n)] for u in range(n)]
+    for k, power in enumerate(walk_powers(a.labels, truncation), start=1):
+        for u in range(n):
+            for v in range(n):
+                if power[u][v]:
+                    entries[u][v].append((k, tuple(sorted(power[u][v].items()))))
+    return equivalent_variable_substitution([[tuple(entry) for entry in row] for row in entries])
 
 
 def minimal_polynomial_degree(a: LabeledGraph, tol: float = 1e-6) -> int:

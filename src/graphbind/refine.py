@@ -139,10 +139,10 @@ class StabilizationTrace:
 
 
 def _stabilize(start: AnyGraph, step) -> StabilizationTrace:
-    max_rounds = start.n * (start.n + 1) // 2 + 1
+    round_bound = start.n * (start.n + 1) // 2 + 1
     current = start
     dims = [dim(current)]
-    for rounds in range(1, max_rounds + 1):
+    for rounds in range(1, round_bound + 1):
         refined = step(current)
         dims.append(dim(refined))
         if dims[-1] == dims[-2]:
@@ -170,7 +170,7 @@ def kpower_stabilize(g: LabeledGraph, k: int) -> StabilizationTrace:
     return _stabilize(seed_recognize_vertices(g), lambda x: kpower_step(x, k))
 
 
-def numeric_ff_stabilize(g: LabeledGraph, max_rounds: int | None = None) -> StabilizationTrace:
+def numeric_ff_stabilize(g: LabeledGraph) -> StabilizationTrace:
     """The numeric pitfall procedure: integer squaring with ff renumbering.
 
     Squares the integer matrix, renumbers entries first-come-first-served,
@@ -185,8 +185,8 @@ def numeric_ff_stabilize(g: LabeledGraph, max_rounds: int | None = None) -> Stab
     current = g.labels.copy()
     np.fill_diagonal(current, 2)
     dims = [int(np.unique(current).size)]
-    limit = max_rounds if max_rounds is not None else g.n * (g.n + 1) // 2 + 5
-    for rounds in range(1, limit + 1):
+    round_bound = g.n * (g.n + 1) // 2 + 5
+    for rounds in range(1, round_bound + 1):
         squared = current @ current
         renumbered = first_encounter_relabel(squared)
         dims.append(int(np.unique(renumbered).size))

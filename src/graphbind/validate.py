@@ -58,12 +58,21 @@ from .refine import (
 
 @dataclass
 class CorpusSpec:
-    """What the audit runs on: exhaustive small orders, random samples, named graphs."""
+    """What the audit runs on: exhaustive small orders, random samples, named graphs.
+
+    The corpus lists every graph of order <= 5 (<= 4 when quick) first, then
+    the random samples of order 2..12, then the named graphs.  Checks that
+    take at most `limit` graphs take the first ones, so they only ever see
+    exhaustive small graphs.  Quick mode: refinement_chain,
+    stable_fixpoint_and_recognition, relabeling_equivariance and
+    orbit_coarsening reach order 3; dim_monotone_under_imbedding, both
+    square_vs_ordered_pair checks and partition_properties reach order 4.
+    Full mode: stable_fixpoint_and_recognition and relabeling_equivariance
+    reach order 4, the other limited checks order 5.
+    """
 
     seed: int = 20240901
-    exhaustive_max_n: int = 5
     random_count: int = 200
-    random_max_n: int = 12
     quick: bool = False
 
     def scaled(self, count: int) -> int:
@@ -73,12 +82,11 @@ class CorpusSpec:
 def build_corpus(spec: CorpusSpec) -> list[tuple[str, LabeledGraph]]:
     rng = np.random.default_rng(spec.seed)
     out: list[tuple[str, LabeledGraph]] = []
-    top = 4 if spec.quick else spec.exhaustive_max_n
-    for n in range(1, top + 1):
+    for n in range(1, (4 if spec.quick else 5) + 1):
         for k, g in enumerate(all_graphs(n)):
             out.append((f"all/n{n}/{k}", g))
     for k in range(spec.scaled(spec.random_count)):
-        n = int(rng.integers(2, spec.random_max_n + 1))
+        n = int(rng.integers(2, 13))
         p = float(rng.uniform(0.2, 0.8))
         out.append((f"random/{k}", random_graph(n, p, seed=int(rng.integers(2**32)))))
     for name, make in NAMED_GRAPHS.items():
@@ -520,28 +528,28 @@ def validate_suite(spec: CorpusSpec | None = None) -> dict:
     return report
 
 
-def _timed(fn, arg, repeats: int):
-    """Result of one untimed warm-up call fn(arg), and the median of `repeats` timed calls."""
+def _timed(fn, arg):
+    """Result of one untimed warm-up call fn(arg), and the median of 3 timed calls."""
     result = fn(arg)
     seconds = []
-    for _ in range(repeats):
+    for _ in range(3):
         started = time.perf_counter()
         fn(arg)
         seconds.append(time.perf_counter() - started)
     return result, float(np.median(seconds))
 
 
-def bench(sizes: list[int] | None = None, seed: int = 7, repeats: int = 3) -> dict:
+def bench(sizes: list[int] | None = None, seed: int = 7) -> dict:
     """Timing and round-growth table, with a log-log slope sanity check.
 
-    Every timing is the median of `repeats` calls after one warm-up call.
+    Every timing is the median of 3 calls after one warm-up call.
     """
     sizes = sizes or [8, 12, 16, 20]
     rows = []
     rng = np.random.default_rng(seed)
     for n in sizes:
         g = random_connected_graph(n, 0.5, seed=int(rng.integers(2**32)))
-        trace, elapsed = _timed(sas_stabilize, g, repeats)
+        trace, elapsed = _timed(sas_stabilize, g)
         rows.append(
             {
                 "family": "random",
@@ -561,7 +569,7 @@ def bench(sizes: list[int] | None = None, seed: int = 7, repeats: int = 3) -> di
     for n in (6, 8, 10):
         g = random_connected_graph(n, 0.5, seed=int(rng.integers(2**32)))
         b = binding_graph(g)
-        trace, elapsed = _timed(sas_stabilize, b.graph, repeats)
+        trace, elapsed = _timed(sas_stabilize, b.graph)
         binding_rows.append(
             {
                 "family": "binding",

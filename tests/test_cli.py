@@ -7,10 +7,11 @@ import json
 import numpy as np
 import pytest
 
-from graphbind.cli import main
+from graphbind.cli import build_parser, main
 from graphbind.core import LabeledGraph, is_equivalent
 from graphbind.corpus import cycle_graph, path_graph, random_connected_graph
-from graphbind.graphio import read_graph, write_graph
+from graphbind.decide import DEFAULT_MAX_BINDING_ORDER
+from graphbind.graphio import read_directed_graph, read_graph, write_graph
 
 
 @pytest.fixture()
@@ -54,6 +55,7 @@ class TestRefineCommand:
         assert main(["refine", "--process", "wl", "--in", a, "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
         assert doc["n"] == 5
+        assert read_directed_graph(out).n == 5
 
     def test_kpow(self, files):
         tmp, a, _ = files
@@ -139,6 +141,10 @@ class TestGiCommand:
         small = tmp_path / "k3.json"
         write_graph(cycle_graph(3), small, "matrix-json")
         assert main(["gi", "--a", a, "--b", str(small)]) == 2
+
+    def test_max_binding_order_defaults_to_library_constant(self):
+        args = build_parser().parse_args(["gi", "--a", "a.json", "--b", "b.json"])
+        assert args.max_binding_order == DEFAULT_MAX_BINDING_ORDER
 
     def test_wl_process_flag(self, files):
         _, a, b = files

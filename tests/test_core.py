@@ -89,20 +89,6 @@ class TestSubstitution:
         assert _imbedded_by_definition(out, g)
         assert _imbedded_by_definition(g, out)
 
-    def test_blank_sentinel_maps_to_zero(self):
-        g = LabeledGraph(np.array([[7, 3], [3, 7]]))
-        out = equivalent_variable_substitution(g.labels, blank_code=3)
-        assert out.labels.tolist() == [[1, 0], [0, 1]]
-
-    def test_blank_sentinel_on_object_codes(self):
-        codes = [[("d",), ("b",)], [("b",), ("e",)]]
-        out = equivalent_variable_substitution(codes, blank_code=("b",))
-        assert out.labels.tolist() == [[1, 0], [0, 2]]
-
-    def test_all_blank_matrix(self):
-        out = equivalent_variable_substitution(np.full((3, 3), 9), blank_code=9)
-        assert out.labels.tolist() == [[0, 0, 0], [0, 0, 0], [0, 0, 0]]
-
     def test_rejects_asymmetric_codes(self):
         with pytest.raises(SymmetryError):
             equivalent_variable_substitution([["a", "b"], ["c", "a"]])

@@ -16,10 +16,8 @@ from graphbind.corpus import (
 )
 from graphbind.descgraph import (
     BudgetExceededError,
-    WalkPolynomial,
     adjoint_description_graph,
     gamma_description_graph,
-    gamma_matrix,
     minimal_polynomial_degree,
     spectral_decomposition,
     spectral_description_graph,
@@ -76,6 +74,21 @@ class TestGamma:
                             counts[(u, v)] == counts[(r, s)]
                         )
 
+    def test_labels_number_walk_counts_by_first_encounter(self):
+        for g in (random_graph(5, 0.5, seed=21), _labeled(4)):
+            counts = brute_walk_counts(g, 4)
+            ids: dict = {}
+            expected = [
+                [ids.setdefault(counts[(u, v)], len(ids) + 1) for v in range(g.n)]
+                for u in range(g.n)
+            ]
+            assert np.array_equal(gamma_description_graph(g, 4).labels, expected)
+
+    def test_negative_truncation_rejected(self):
+        for g in (path_graph(3), complete_graph(1)):
+            with pytest.raises(GraphError):
+                gamma_description_graph(g, -1)
+
     def test_truncation_at_minimal_polynomial_degree(self):
         for seed in range(30):
             g = random_graph(6, 0.5, seed=seed)
@@ -109,13 +122,7 @@ class TestGamma:
 
         monkeypatch.setattr(mod, "GAMMA_TERM_BUDGET", 10)
         with pytest.raises(BudgetExceededError):
-            gamma_matrix(_labeled(5), 4)
-
-    def test_walk_polynomial_validation(self):
-        with pytest.raises(GraphError):
-            WalkPolynomial({(2, 1): 1})
-        with pytest.raises(GraphError):
-            WalkPolynomial({(1, 2): 0})
+            gamma_description_graph(_labeled(5), 4)
 
 
 def _labeled(n):
