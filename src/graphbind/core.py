@@ -49,11 +49,23 @@ def _as_label_matrix(labels: object, *, name: str = "labels") -> np.ndarray:
     return arr
 
 
+def distinct_values(arr: np.ndarray) -> np.ndarray:
+    """The distinct values of `arr`, sorted.
+
+    Counts by sorting: a value-only `np.unique` can take a hash path that is
+    an order of magnitude slower on label matrices.
+    """
+    flat = np.sort(arr, axis=None)
+    keep = np.ones(flat.size, dtype=bool)
+    np.not_equal(flat[1:], flat[:-1], out=keep[1:])
+    return flat[keep]
+
+
 def _single_valued(keys: np.ndarray, values: np.ndarray) -> bool:
     """True iff equal entries of `keys` always face equal entries of `values`."""
     stride = int(values.max()) + 1
-    pairs = np.unique(keys.astype(np.int64) * stride + values)
-    return np.unique(pairs // stride).size == pairs.size
+    pair_keys = distinct_values(keys.astype(np.int64) * stride + values) // stride
+    return not (pair_keys[1:] == pair_keys[:-1]).any()
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,7 +119,7 @@ AnyGraph = LabeledGraph | DirectedLabeledGraph
 
 def dim(g: AnyGraph) -> int:
     """Number of distinct labels in the matrix."""
-    return int(np.unique(g.labels).size)
+    return int(distinct_values(g.labels).size)
 
 
 def is_imbedded(a: AnyGraph, b: AnyGraph) -> bool:
@@ -143,11 +155,27 @@ def first_encounter_ids(keys: Iterable[Code], ids: dict[Code, int]) -> list[int]
 
 
 def first_encounter_relabel(arr: np.ndarray) -> np.ndarray:
-    """Map distinct values of `arr` to 1..d by first encounter in row-major order."""
-    flat = np.asarray(arr).ravel()
-    _, first, inverse = np.unique(flat, return_index=True, return_inverse=True)
-    rank = np.argsort(np.argsort(first)) + 1
-    return rank[inverse].reshape(np.asarray(arr).shape).astype(np.int64)
+    """Map distinct values of `arr` to 1..d by first encounter in row-major order.
+
+    One sort groups equal values; besides the input it holds three int64
+    arrays of its size at a time.
+    """
+    arr = np.asarray(arr)
+    flat = arr.ravel()
+    order = np.argsort(flat)
+    ordered = flat[order]
+    starts = np.empty(flat.size, dtype=bool)
+    starts[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    del ordered
+    # The first encounter of a value is the least position among its equals.
+    first = np.minimum.reduceat(order, np.flatnonzero(starts))
+    rank = np.empty(first.size, dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(1, first.size + 1)
+    group = np.cumsum(starts, dtype=np.int64)
+    group -= 1
+    group[order] = rank[group]
+    return group.reshape(arr.shape)
 
 
 def equivalent_variable_substitution(codes: Sequence[Sequence[Code]] | np.ndarray) -> LabeledGraph:

@@ -3,11 +3,24 @@
 Each round replaces every entry of the matrix with a code describing the
 multiset of label pairs (or longer walk label multisets) that the symbolic
 matrix product would place there, then performs an equivalent variable
-substitution.  Working with multiset codes instead of numeric sums keeps
-the rounds exact: sums of products of independent variables are equal iff
-the underlying multisets match, which is precisely what the codes compare.
-The numeric first-come-first-served variant that loses this exactness is
-kept as `numeric_ff_stabilize` purely to demonstrate the failure mode.
+substitution.  The reference rounds `sas_step`, `wl_step` and `kpower_step`
+build those multiset codes explicitly.
+
+The stabilization loops of `sas_stabilize` and `wl_stabilize` evaluate the
+symbolic product instead, at random points of the prime field GF(`PRIME`):
+each label is a variable, the square is one float64 matrix product per
+point, and every entry is keyed by its previous label and `EVALUATIONS`
+values.  Equal multisets always evaluate equal, so an evaluated round can
+only merge classes that the exact round keeps apart (Schwartz-Zippel bounds
+the chance by 2/`PRIME` per point), and it still refines its input.  The
+loop therefore checks its fixpoint exactly, once: every label class must
+have identical sorted pair-code rows.  Where a collision hid a split, the
+reference round runs and refinement continues, so the stable graph returned
+is always the exact one, numbered as the reference rounds number it.
+
+The numeric first-come-first-served variant that loses exactness -- it feeds
+numbers, not independent variables, into the next product -- is kept as
+`numeric_ff_stabilize` purely to demonstrate the failure mode.
 """
 
 from __future__ import annotations
@@ -22,6 +35,7 @@ from .core import (
     GraphError,
     LabeledGraph,
     dim,
+    distinct_values,
     first_encounter_ids,
     first_encounter_relabel,
     is_equivalent,
@@ -31,6 +45,18 @@ from .descgraph import walk_powers
 
 K_POWER_LIMIT = 4
 
+#: The field of the evaluated rounds.  A product of two N x N matrices of
+#: field elements is exact in float64 while N * PRIME**2 < 2**53, which holds
+#: for every N up to 8192.
+PRIME = 2**20 - 3
+#: Independent random points per evaluated round.
+EVALUATIONS = 3
+#: Each stabilization draws its points from a generator with this seed, so
+#: its output never depends on earlier calls.
+EVALUATION_SEED = 20240901
+#: Size of one block of pair-code rows in the exact fixpoint check.
+CHECK_BLOCK_BYTES = 256 * 1024
+
 
 class VertexRecognitionError(GraphError):
     """Refinement round applied to a graph whose vertex labels leak onto edges."""
@@ -38,9 +64,10 @@ class VertexRecognitionError(GraphError):
 
 def recognizes_vertices(g: AnyGraph) -> bool:
     """Diagonal label set disjoint from the off-diagonal label set."""
-    diag = set(np.unique(g.labels.diagonal()).tolist())
-    off = g.labels[~np.eye(g.n, dtype=bool)]
-    return not (diag & set(np.unique(off).tolist())) if off.size else True
+    diag = distinct_values(g.labels.diagonal())
+    off = distinct_values(g.labels[~np.eye(g.n, dtype=bool)])
+    both = np.sort(np.concatenate((diag, off)))
+    return not (both[1:] == both[:-1]).any()
 
 
 def seed_recognize_vertices(g: LabeledGraph) -> LabeledGraph:
@@ -138,7 +165,125 @@ class StabilizationTrace:
     dims: list[int] = field(default_factory=list)
 
 
-def _stabilize(start: AnyGraph, step) -> StabilizationTrace:
+def _evaluated_round(g: AnyGraph, rng: np.random.Generator, *, directed: bool) -> np.ndarray:
+    """One sas (or, if `directed`, wl) round evaluated at random field points.
+
+    Entry (u,v) of the symbolic square is sum_k x[g[u][k]] * x[g[k][v]], with
+    one variable per label; the wl product uses independent x and y.  Each
+    point gives one float64 matrix product, exact below 2**53, reduced mod
+    PRIME.  Entries are keyed by their previous label and all evaluations
+    (for wl also the evaluations of the transposed entry, which keeps the
+    output converse equivalent even under collisions) and numbered by first
+    encounter in row-major order.  A sas square is symmetric, so only its
+    upper triangle is keyed: row-major, it meets every value where the full
+    matrix does.
+    """
+    m = g.labels
+    n = g.n
+    if m.max() >= m.size:  # sparse input labels: index the points densely
+        m = first_encounter_relabel(m)
+    upper = None if directed else np.triu(np.ones((n, n), dtype=bool))
+    points = rng.integers(0, PRIME, size=(EVALUATIONS, 1 + directed, int(m.max()) + 1))
+    values = None
+    for x in points.astype(np.float64):
+        left = x[0][m]
+        # A sas `left` is symmetric; written as left @ left.T the product
+        # takes BLAS's faster symmetric path.
+        product = left @ (x[1][m] if directed else left.T)
+        del left
+        entries = (product.ravel() if directed else product[upper]).astype(np.int64)
+        del product
+        entries %= PRIME
+        if values is None:
+            values = entries
+        else:
+            values *= PRIME
+            values += entries
+    # Evaluations stay below PRIME**3 < 2**60 and labels and ids at most n*n,
+    # so no key overflows int64 for any order the exactness bound admits.
+    values = first_encounter_relabel(values)
+    key = values * (int(m.max()) + 1) + (m.ravel() if directed else m[upper])
+    if directed:
+        key = first_encounter_relabel(key)
+        key *= int(values.max()) + 1
+        key += values.reshape(n, n).T.ravel()
+    ids = first_encounter_relabel(key)
+    if directed:
+        return ids.reshape(n, n)
+    out = np.empty((n, n), dtype=np.int64)
+    out[upper] = ids
+    out.T[upper] = ids
+    return out
+
+
+def _unordered_pair_codes(rows: np.ndarray, columns: np.ndarray, stride: int) -> np.ndarray:
+    """Codes of the label pairs {rows[i][k], columns[i][k]}, as in `sas_step`."""
+    return np.minimum(rows, columns) * stride + np.maximum(rows, columns)
+
+
+def _ordered_pair_codes(rows: np.ndarray, columns: np.ndarray, stride: int) -> np.ndarray:
+    """Codes of the label pairs (rows[i][k], columns[i][k]), as in `wl_step`."""
+    return rows * stride + columns
+
+
+def _exactly_stable(g: AnyGraph, pair_codes) -> bool:
+    """True iff the exact round would split no label class of `g`.
+
+    Labels are at most n*n, as every round numbers them.  Entries of one
+    class must have equal sorted pair-code rows.  The entries of every class
+    with two or more members are visited class by class, in blocks of about
+    CHECK_BLOCK_BYTES, and each row is compared with the row before it in
+    its class.  Singleton classes need no check.  For symmetric graphs the
+    upper triangle suffices, since (u,v) and (v,u) share a code.  Codes are
+    held in the narrowest unsigned type that fits them, which halves the
+    sorting time or better.
+    """
+    n = g.n
+    stride = int(g.labels.max()) + 1
+    m = g.labels.astype(np.min_scalar_type(stride * stride - 1))
+    if isinstance(g, LabeledGraph):
+        columns = m
+        positions = np.flatnonzero(np.triu(np.ones((n, n), dtype=bool)))
+        labels = g.labels.ravel()[positions]
+    else:
+        columns = np.ascontiguousarray(m.T)
+        positions = None
+        labels = g.labels.ravel()
+    order = np.argsort(labels, kind="stable")
+    labels = labels[order]
+    shared = labels[1:] == labels[:-1]
+    in_class = np.zeros(labels.size, dtype=bool)
+    in_class[1:] = shared
+    in_class[:-1] |= shared
+    order = order[in_class]
+    labels = labels[in_class]
+    if positions is not None:
+        order = positions[order]
+    block = max(1, CHECK_BLOCK_BYTES // (m.itemsize * n))
+    last_label, last_row = None, None
+    for lo in range(0, order.size, block):
+        entries = order[lo : lo + block]
+        block_labels = labels[lo : lo + block]
+        rows = pair_codes(m[entries // n], columns[entries % n], stride)
+        rows.sort(axis=1)
+        if block_labels[0] == last_label and not np.array_equal(rows[0], last_row):
+            return False
+        same_class = block_labels[1:] == block_labels[:-1]
+        if ((rows[1:] != rows[:-1]).any(axis=1) & same_class).any():
+            return False
+        last_label, last_row = block_labels[-1], rows[-1].copy()
+    return True
+
+
+def _stabilize(start: AnyGraph, step, exact_step=None, pair_codes=None) -> StabilizationTrace:
+    """Apply `step` until the dimension stops growing.
+
+    Without `exact_step`, `step` is an exact round.  With it, `step` is an
+    evaluated round, which refines its input but may refine it less than the
+    exact round; at its fixpoint the graph is checked with `pair_codes`, and
+    if the exact round would split a class, `exact_step` takes that round
+    and refinement continues.
+    """
     round_bound = start.n * (start.n + 1) // 2 + 1
     current = start
     dims = [dim(current)]
@@ -149,20 +294,44 @@ def _stabilize(start: AnyGraph, step) -> StabilizationTrace:
             # Dimension fixpoint implies equivalence; assert it once.
             if not is_equivalent(current, refined):
                 raise AssertionError("dimension fixpoint without equivalence; refinement is broken")
-            return StabilizationTrace(stable=refined, rounds=rounds, dims=dims)
+            if exact_step is None or _exactly_stable(refined, pair_codes):
+                return StabilizationTrace(stable=refined, rounds=rounds, dims=dims)
+            refined = exact_step(refined)
+            dims[-1] = dim(refined)
         current = refined
     raise AssertionError("refinement exceeded its theoretical round bound")
 
 
+def _require_exact_evaluation(g: AnyGraph) -> None:
+    if g.n * PRIME**2 >= 2**53:
+        raise GraphError(
+            f"order {g.n} is too large for exact evaluated rounds: "
+            f"need order * {PRIME}**2 < 2**53"
+        )
+
+
 def sas_stabilize(g: LabeledGraph) -> StabilizationTrace:
     """Seed, then square-and-substitute until the dimension stops growing."""
-    return _stabilize(seed_recognize_vertices(g), sas_step)
+    _require_exact_evaluation(g)
+    rng = np.random.default_rng(EVALUATION_SEED)
+    return _stabilize(
+        seed_recognize_vertices(g),
+        lambda x: LabeledGraph(_evaluated_round(x, rng, directed=False)),
+        sas_step,
+        _unordered_pair_codes,
+    )
 
 
 def wl_stabilize(g: LabeledGraph) -> StabilizationTrace:
     """Seed, then apply ordered-pair rounds until the dimension stops growing."""
-    seeded = DirectedLabeledGraph(seed_recognize_vertices(g).labels)
-    return _stabilize(seeded, wl_step)
+    _require_exact_evaluation(g)
+    rng = np.random.default_rng(EVALUATION_SEED)
+    return _stabilize(
+        DirectedLabeledGraph(seed_recognize_vertices(g).labels),
+        lambda x: DirectedLabeledGraph(_evaluated_round(x, rng, directed=True)),
+        wl_step,
+        _ordered_pair_codes,
+    )
 
 
 def kpower_stabilize(g: LabeledGraph, k: int) -> StabilizationTrace:

@@ -16,8 +16,10 @@ from graphbind.core import (
     Partition,
     SymmetryError,
     dim,
+    distinct_values,
     equivalent_variable_substitution,
     first_encounter_ids,
+    first_encounter_relabel,
     induced_subgraph,
     is_equivalent,
     is_imbedded,
@@ -191,6 +193,29 @@ class TestDim:
         rng = np.random.default_rng(3)
         g = random_symmetric(rng, 6, 100)
         assert dim(g) <= 6 * 7 // 2
+
+    def test_distinct_values_match_np_unique(self):
+        rng = np.random.default_rng(5)
+        for high in (1, 3, 50, 2**62):
+            g = random_symmetric(rng, 9, high)
+            assert np.array_equal(distinct_values(g.labels), np.unique(g.labels))
+            assert dim(g) == np.unique(g.labels).size
+
+
+class TestFirstEncounterRelabel:
+    def test_matches_dict_numbering(self):
+        rng = np.random.default_rng(8)
+        for shape, high in (((1,), 5), ((7, 7), 3), ((40,), 40), ((12, 12), 2**62)):
+            arr = rng.integers(0, high, size=shape)
+            ids: dict[int, int] = {}
+            expected = [ids.setdefault(int(x), len(ids) + 1) for x in arr.ravel()]
+            out = first_encounter_relabel(arr)
+            assert out.dtype == np.int64 and out.shape == arr.shape
+            assert out.ravel().tolist() == expected
+
+    def test_transposed_view_is_read_row_major(self):
+        m = np.array([[5, 7], [6, 5]])
+        assert first_encounter_relabel(m.T).tolist() == [[1, 2], [3, 1]]
 
 
 class TestFirstEncounterIds:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphbind.binding import binding_graph, wing_graph
 from graphbind.core import (
     BLANK,
     DirectedLabeledGraph,
@@ -21,12 +22,14 @@ from graphbind.corpus import (
     complete_graph,
     path_graph,
     petersen_graph,
+    random_connected_graph,
     random_graph,
     random_permutation,
 )
 from graphbind.descgraph import BudgetExceededError
 from graphbind.partition import vertex_partition
 from graphbind.refine import (
+    PRIME,
     VertexRecognitionError,
     kpower_step,
     numeric_ff_stabilize,
@@ -89,6 +92,28 @@ def brute_walk_codes(g: LabeledGraph, k: int) -> list[list[tuple]]:
         ]
         for u in range(n)
     ]
+
+
+def exact_stabilize(start, step):
+    """Reference loop: iterate an exact round until the dimension repeats.
+
+    Returns the last round's output, the number of rounds and the dims.
+    """
+    current, dims = start, [dim(start)]
+    while True:
+        refined = step(current)
+        dims.append(dim(refined))
+        if dims[-1] == dims[-2]:
+            return refined, len(dims) - 1, dims
+        current = refined
+
+
+def exact_sas(g: LabeledGraph):
+    return exact_stabilize(seed_recognize_vertices(g), sas_step)
+
+
+def exact_wl(g: LabeledGraph):
+    return exact_stabilize(DirectedLabeledGraph(seed_recognize_vertices(g).labels), wl_step)
 
 
 def numbered(codes: list[list[tuple]]) -> np.ndarray:
@@ -320,10 +345,117 @@ class TestStabilize:
         assert vertex_partition(s.stable) == vertex_partition(w.stable)
 
 
+class TestEvaluatedRounds:
+    """`sas_stabilize` and `wl_stabilize` evaluate their rounds at random
+    points and check the fixpoint exactly; the reference rounds iterated to
+    their fixpoint must give the same stable labels, and without collisions
+    the same rounds and dims."""
+
+    @staticmethod
+    def assert_identical(trace, reference):
+        stable, rounds, dims = reference
+        assert np.array_equal(trace.stable.labels, stable.labels)
+        assert (trace.rounds, trace.dims) == (rounds, dims)
+
+    def test_identical_on_quick_corpus(self):
+        from graphbind.validate import CorpusSpec, build_corpus
+
+        for _, g in build_corpus(CorpusSpec(quick=True)):
+            self.assert_identical(sas_stabilize(g), exact_sas(g))
+            self.assert_identical(wl_stabilize(g), exact_wl(g))
+
+    def test_identical_on_binding_graphs_of_yes_and_no_pairs(self):
+        for n in range(3, 7):
+            for seed in range(3):
+                a = random_connected_graph(n, 0.5, seed=10 * n + seed)
+                yes = permuted(a, random_permutation(n, seed=seed))
+                no = next(
+                    b
+                    for b in (random_connected_graph(n, 0.5, seed=1000 + s) for s in range(100))
+                    if sorted(b.labels.sum(axis=0)) != sorted(a.labels.sum(axis=0))
+                )
+                for other in (yes, no):
+                    bound = binding_graph(wing_graph(a, other)).graph
+                    self.assert_identical(sas_stabilize(bound), exact_sas(bound))
+                    self.assert_identical(wl_stabilize(bound), exact_wl(bound))
+
+    def test_collisions_fall_back_to_the_exact_round(self, monkeypatch):
+        # Over GF(2) and GF(3) evaluations collide often; the exact fixpoint
+        # check must catch every collision that hides a split.
+        import graphbind.refine as refine
+
+        fallbacks = {"sas_step": 0, "wl_step": 0}
+
+        def counted(name, step):
+            def wrapper(g):
+                fallbacks[name] += 1
+                return step(g)
+
+            return wrapper
+
+        for name in fallbacks:
+            monkeypatch.setattr(refine, name, counted(name, getattr(refine, name)))
+        for prime in (2, 3):
+            monkeypatch.setattr(refine, "PRIME", prime)
+            for seed in range(30):
+                g = random_graph(4 + seed % 7, 0.5, seed=500 + seed)
+                assert np.array_equal(sas_stabilize(g).stable.labels, exact_sas(g)[0].labels)
+                assert np.array_equal(wl_stabilize(g).stable.labels, exact_wl(g)[0].labels)
+        assert fallbacks["sas_step"] > 0 and fallbacks["wl_step"] > 0
+
+    @pytest.mark.parametrize("block_bytes", [None, 1])
+    def test_verifier_rejects_one_round_short_and_accepts_stable(
+        self, reference, monkeypatch, block_bytes
+    ):
+        import graphbind.refine as refine
+        from graphbind.refine import _exactly_stable, _ordered_pair_codes, _unordered_pair_codes
+
+        if block_bytes is not None:
+            # One row per block: every comparison crosses a block boundary.
+            monkeypatch.setattr(refine, "CHECK_BLOCK_BYTES", block_bytes)
+        g21 = as_graph(reference["g21"])
+        for start, step, codes in (
+            (seed_recognize_vertices(g21), sas_step, _unordered_pair_codes),
+            (DirectedLabeledGraph(seed_recognize_vertices(g21).labels), wl_step, _ordered_pair_codes),
+        ):
+            iterates = [start, step(start)]
+            while dim(iterates[-1]) > dim(iterates[-2]):
+                iterates.append(step(iterates[-1]))
+            # iterates[-2] is stable, so iterates[-3] is one round short.
+            assert len(iterates) >= 3
+            assert not _exactly_stable(iterates[-3], codes)
+            assert _exactly_stable(iterates[-2], codes)
+        assert _exactly_stable(as_graph(reference["g21_stable"]), _unordered_pair_codes)
+
+    def test_exactness_bound_raises_before_any_work(self, monkeypatch):
+        import graphbind.refine as refine
+
+        def unreachable(g):
+            raise AssertionError("seeded before the bound was checked")
+
+        # 3 * (2**27)**2 >= 2**53: even a 3-vertex graph is out of bounds.
+        monkeypatch.setattr(refine, "PRIME", 2**27)
+        monkeypatch.setattr(refine, "seed_recognize_vertices", unreachable)
+        for stabilize in (sas_stabilize, wl_stabilize):
+            with pytest.raises(GraphError, match="too large"):
+                stabilize(path_graph(3))
+
+    def test_default_binding_budget_is_within_the_bound(self):
+        from graphbind.decide import DEFAULT_MAX_BINDING_ORDER
+
+        assert DEFAULT_MAX_BINDING_ORDER * PRIME**2 < 2**53
+
+    def test_sparse_input_labels(self):
+        g = LabeledGraph(np.array([[0, 10**15, 7], [10**15, 0, 7], [7, 7, 0]]))
+        self.assert_identical(sas_stabilize(g), exact_sas(g))
+        self.assert_identical(wl_stabilize(g), exact_wl(g))
+
+
 class TestDeterminism:
     def test_identical_labels_across_processes(self, reference):
         """Substitution determinism: a separate interpreter must produce the
-        byte-identical stable matrix, not merely an equivalent one."""
+        byte-identical stable matrices, not merely equivalent ones, although
+        the loops draw random evaluation points."""
         import hashlib
         import subprocess
         import sys
@@ -331,17 +463,21 @@ class TestDeterminism:
         script = (
             "import hashlib, numpy as np\n"
             "from graphbind.corpus import demo_graph\n"
-            "from graphbind.refine import sas_stabilize\n"
-            "m = sas_stabilize(demo_graph('demo24')).stable.labels\n"
-            "print(hashlib.sha256(m.tobytes()).hexdigest())\n"
+            "from graphbind.refine import sas_stabilize, wl_stabilize\n"
+            "for stabilize in (sas_stabilize, wl_stabilize):\n"
+            "    m = stabilize(demo_graph('demo24')).stable.labels\n"
+            "    print(hashlib.sha256(m.tobytes()).hexdigest())\n"
         )
         out = subprocess.run(
             [sys.executable, "-c", script], capture_output=True, text=True, check=True
-        ).stdout.strip()
+        ).stdout.split()
         from graphbind.corpus import demo_graph
 
-        here = sas_stabilize(demo_graph("demo24")).stable.labels
-        assert out == hashlib.sha256(here.tobytes()).hexdigest()
+        here = [
+            hashlib.sha256(stabilize(demo_graph("demo24")).stable.labels.tobytes()).hexdigest()
+            for stabilize in (sas_stabilize, wl_stabilize)
+        ]
+        assert out == here
 
     def test_matches_reference_numbering_exactly(self, reference):
         # First-encounter row-major numbering reproduces the bundled
