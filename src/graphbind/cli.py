@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands mirror the library: refine, descgraph, binding, derived,
-oracle, gi, validate, bench.  The gi command exits 0 for YES, 1 for NO and
+oracle, gi, validate.  The gi command exits 0 for YES, 1 for NO and
 2 on errors; validate exits 1 when any check reports violations.
 """
 
@@ -25,7 +25,7 @@ from .graphio import FORMATS, guess_format, read_graph, write_directed_graph, wr
 from .oracle import automorphism_orbits, is_isomorphic_bruteforce
 from .partition import partition_json
 from .refine import kpower_stabilize, sas_stabilize, wl_stabilize
-from .validate import CorpusSpec, bench, validate_suite
+from .validate import CorpusSpec, validate_suite
 
 
 def _read(path: str, fmt: str | None) -> LabeledGraph:
@@ -151,22 +151,6 @@ def cmd_validate(args) -> int:
     return 0 if report["ok"] else 1
 
 
-def cmd_bench(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",")] if args.sizes else None
-    table = bench(sizes=sizes, seed=args.seed)
-    for row in table["rows"]:
-        dims = ",".join(map(str, row["dims"]))
-        secs = f"{row['seconds']}s" if row["seconds"] is not None else "-"
-        print(f"{row['family']:10s} n={row['n']:<4d} rounds={row['rounds']} {secs:>10s} dims={dims}")
-    for row in table["binding"]:
-        print(
-            f"binding    basic_n={row['basic_n']:<3d} order={row['order']:<5d} "
-            f"rounds={row['rounds']} {row['seconds']}s"
-        )
-    print(f"log-log slope of time vs n: {table['loglog_slope']}")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="graphbind", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
@@ -220,11 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quick", action="store_true", help="smaller corpus")
     p.add_argument("--out", help="write the JSON report here")
     p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("bench", help="timing and round-growth table")
-    p.add_argument("--sizes", help="comma-separated graph orders (default 8,12,16,20)")
-    p.add_argument("--seed", type=int, default=7)
-    p.set_defaults(func=cmd_bench)
     return parser
 
 

@@ -14,7 +14,10 @@ values.  Equal multisets always evaluate equal, so an evaluated round can
 only merge classes that the exact round keeps apart (Schwartz-Zippel bounds
 the chance by 2/`PRIME` per point), and it still refines its input.  The
 loop therefore checks its fixpoint exactly, once: every label class must
-have identical sorted pair-code rows.  Where a collision hid a split, the
+have identical sorted pair-code rows.  Where the involution that swaps the
+two vertices of every two-vertex cell is verified to preserve every label,
+one entry is checked per orbit of it, since it maps each entry's pair codes
+onto its image's term by term.  Where a collision hid a split, the
 reference round runs and refinement continues, so the stable graph returned
 is always the exact one, numbered as the reference rounds number it.
 
@@ -226,39 +229,68 @@ def _ordered_pair_codes(rows: np.ndarray, columns: np.ndarray, stride: int) -> n
     return rows * stride + columns
 
 
+def _cell_swap(g: AnyGraph) -> np.ndarray | None:
+    """The involution that swaps the two vertices of every two-vertex cell.
+
+    Cells are the classes of diagonal labels.  The involution is returned
+    only if it moves some vertex and preserves every label, that is, if it is
+    an automorphism of `g`; otherwise None.
+    """
+    diag = g.labels.diagonal()
+    paired = np.flatnonzero(np.bincount(diag)[diag] == 2)
+    if paired.size == 0:
+        return None
+    # Sorted by label, the two vertices of each cell are adjacent.
+    paired = paired[np.argsort(diag[paired], kind="stable")]
+    tau = np.arange(g.n)
+    tau[paired] = paired.reshape(-1, 2)[:, ::-1].ravel()
+    if not np.array_equal(g.labels[np.ix_(tau, tau)], g.labels):
+        return None
+    return tau
+
+
 def _exactly_stable(g: AnyGraph, pair_codes) -> bool:
     """True iff the exact round would split no label class of `g`.
 
     Labels are at most n*n, as every round numbers them.  Entries of one
-    class must have equal sorted pair-code rows.  The entries of every class
-    with two or more members are visited class by class, in blocks of about
-    CHECK_BLOCK_BYTES, and each row is compared with the row before it in
-    its class.  Singleton classes need no check.  For symmetric graphs the
-    upper triangle suffices, since (u,v) and (v,u) share a code.  Codes are
-    held in the narrowest unsigned type that fits them, which halves the
-    sorting time or better.
+    class must have equal sorted pair-code rows.  For symmetric graphs the
+    upper triangle suffices, since (u,v) and (v,u) share a code.  Where
+    `_cell_swap` finds an automorphism tau, entry (tau u, tau v) has the
+    label and, term by term, the pair codes of (u,v), so only one entry of
+    each orbit {e, tau e} is checked: the one with the smaller position,
+    after a symmetric image is moved into the upper triangle.  The checked
+    entries of every class with two or more of them are visited class by
+    class, in blocks of about CHECK_BLOCK_BYTES, and each row is compared
+    with the row before it in its class.  A class left with one checked
+    entry needs no check.  Codes are held in the narrowest unsigned type
+    that fits them, which halves the sorting time or better.
     """
     n = g.n
     stride = int(g.labels.max()) + 1
     m = g.labels.astype(np.min_scalar_type(stride * stride - 1))
-    if isinstance(g, LabeledGraph):
+    symmetric = isinstance(g, LabeledGraph)
+    if symmetric:
         columns = m
-        positions = np.flatnonzero(np.triu(np.ones((n, n), dtype=bool)))
-        labels = g.labels.ravel()[positions]
+        checked = np.triu(np.ones((n, n), dtype=bool))
     else:
         columns = np.ascontiguousarray(m.T)
-        positions = None
-        labels = g.labels.ravel()
+        checked = np.ones((n, n), dtype=bool)
+    tau = _cell_swap(g)
+    if tau is not None:
+        u, v = tau[:, None], tau[None, :]
+        if symmetric:
+            u, v = np.minimum(u, v), np.maximum(u, v)
+        checked &= u * n + v >= np.arange(n * n).reshape(n, n)
+    positions = np.flatnonzero(checked)
+    labels = g.labels.ravel()[positions]
     order = np.argsort(labels, kind="stable")
     labels = labels[order]
     shared = labels[1:] == labels[:-1]
     in_class = np.zeros(labels.size, dtype=bool)
     in_class[1:] = shared
     in_class[:-1] |= shared
-    order = order[in_class]
+    order = positions[order[in_class]]
     labels = labels[in_class]
-    if positions is not None:
-        order = positions[order]
     block = max(1, CHECK_BLOCK_BYTES // (m.itemsize * n))
     last_label, last_row = None, None
     for lo in range(0, order.size, block):

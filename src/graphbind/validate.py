@@ -526,63 +526,3 @@ def validate_suite(spec: CorpusSpec | None = None) -> dict:
     report["violation_total"] = sum(totals.values())
     report["ok"] = report["violation_total"] == 0
     return report
-
-
-def _timed(fn, arg):
-    """Result of one untimed warm-up call fn(arg), and the median of 3 timed calls."""
-    result = fn(arg)
-    seconds = []
-    for _ in range(3):
-        started = time.perf_counter()
-        fn(arg)
-        seconds.append(time.perf_counter() - started)
-    return result, float(np.median(seconds))
-
-
-def bench(sizes: list[int] | None = None, seed: int = 7) -> dict:
-    """Timing and round-growth table, with a log-log slope sanity check.
-
-    Every timing is the median of 3 calls after one warm-up call.
-    """
-    sizes = sizes or [8, 12, 16, 20]
-    rows = []
-    rng = np.random.default_rng(seed)
-    for n in sizes:
-        g = random_connected_graph(n, 0.5, seed=int(rng.integers(2**32)))
-        trace, elapsed = _timed(sas_stabilize, g)
-        rows.append(
-            {
-                "family": "random",
-                "n": n,
-                "rounds": trace.rounds,
-                "dims": trace.dims,
-                "seconds": round(elapsed, 5),
-            }
-        )
-    from .corpus import petersen_graph
-
-    trace = sas_stabilize(petersen_graph())
-    rows.append(
-        {"family": "petersen", "n": 10, "rounds": trace.rounds, "dims": trace.dims, "seconds": None}
-    )
-    binding_rows = []
-    for n in (6, 8, 10):
-        g = random_connected_graph(n, 0.5, seed=int(rng.integers(2**32)))
-        b = binding_graph(g)
-        trace, elapsed = _timed(sas_stabilize, b.graph)
-        binding_rows.append(
-            {
-                "family": "binding",
-                "basic_n": n,
-                "order": b.n1,
-                "rounds": trace.rounds,
-                "seconds": round(elapsed, 5),
-            }
-        )
-    timed = [(r["n"], r["seconds"]) for r in rows if r["seconds"]]
-    slope = None
-    if len(timed) >= 2:
-        xs = np.log([t[0] for t in timed])
-        ys = np.log([t[1] for t in timed])
-        slope = round(float(np.polyfit(xs, ys, 1)[0]), 2)
-    return {"rows": rows, "binding": binding_rows, "loglog_slope": slope}

@@ -169,9 +169,3 @@ class TestValidateAndBench:
         report = json.loads(out.read_text())
         assert report["implementation_violations"] == 0
         assert rc == (0 if report["ok"] else 1)
-
-    def test_bench_runs(self, capsys):
-        assert main(["bench", "--sizes", "6,8"]) == 0
-        out = capsys.readouterr().out
-        assert "petersen" in out
-        assert "log-log slope" in out

@@ -27,10 +27,15 @@ from graphbind.corpus import (
     random_permutation,
 )
 from graphbind.descgraph import BudgetExceededError
+from graphbind.oracle import automorphism_orbits
 from graphbind.partition import vertex_partition
 from graphbind.refine import (
     PRIME,
     VertexRecognitionError,
+    _cell_swap,
+    _exactly_stable,
+    _ordered_pair_codes,
+    _unordered_pair_codes,
     kpower_step,
     numeric_ff_stabilize,
     recognizes_vertices,
@@ -114,6 +119,37 @@ def exact_sas(g: LabeledGraph):
 
 def exact_wl(g: LabeledGraph):
     return exact_stabilize(DirectedLabeledGraph(seed_recognize_vertices(g).labels), wl_step)
+
+
+def stable_iterates(start, step) -> list:
+    """`start` and its exact rounds up to the first that keeps the dimension.
+
+    The second to last iterate is stable, so the one before it is one round
+    short of stable.
+    """
+    iterates = [start, step(start)]
+    while dim(iterates[-1]) > dim(iterates[-2]):
+        iterates.append(step(iterates[-1]))
+    return iterates
+
+
+def seeded_processes(g: LabeledGraph) -> tuple:
+    """(start, exact round, pair-code builder) of the sas and wl processes on `g`."""
+    seeded = seed_recognize_vertices(g)
+    return (
+        (seeded, sas_step, _unordered_pair_codes),
+        (DirectedLabeledGraph(seeded.labels), wl_step, _ordered_pair_codes),
+    )
+
+
+def asymmetric_pair_binding_graph() -> LabeledGraph:
+    """Binding graph of an asymmetric 6-vertex graph and a relabeled copy.
+
+    Each of its stable vertex cells holds one vertex of each copy.
+    """
+    a = random_connected_graph(6, 0.5, seed=0)
+    assert len(automorphism_orbits(a).cells) == a.n
+    return binding_graph(wing_graph(a, permuted(a, random_permutation(6, seed=1)))).graph
 
 
 def numbered(codes: list[list[tuple]]) -> np.ndarray:
@@ -365,6 +401,7 @@ class TestEvaluatedRounds:
             self.assert_identical(wl_stabilize(g), exact_wl(g))
 
     def test_identical_on_binding_graphs_of_yes_and_no_pairs(self):
+        bound_graphs = [asymmetric_pair_binding_graph()]
         for n in range(3, 7):
             for seed in range(3):
                 a = random_connected_graph(n, 0.5, seed=10 * n + seed)
@@ -374,10 +411,10 @@ class TestEvaluatedRounds:
                     for b in (random_connected_graph(n, 0.5, seed=1000 + s) for s in range(100))
                     if sorted(b.labels.sum(axis=0)) != sorted(a.labels.sum(axis=0))
                 )
-                for other in (yes, no):
-                    bound = binding_graph(wing_graph(a, other)).graph
-                    self.assert_identical(sas_stabilize(bound), exact_sas(bound))
-                    self.assert_identical(wl_stabilize(bound), exact_wl(bound))
+                bound_graphs += [binding_graph(wing_graph(a, other)).graph for other in (yes, no)]
+        for bound in bound_graphs:
+            self.assert_identical(sas_stabilize(bound), exact_sas(bound))
+            self.assert_identical(wl_stabilize(bound), exact_wl(bound))
 
     def test_collisions_fall_back_to_the_exact_round(self, monkeypatch):
         # Over GF(2) and GF(3) evaluations collide often; the exact fixpoint
@@ -408,23 +445,18 @@ class TestEvaluatedRounds:
         self, reference, monkeypatch, block_bytes
     ):
         import graphbind.refine as refine
-        from graphbind.refine import _exactly_stable, _ordered_pair_codes, _unordered_pair_codes
 
         if block_bytes is not None:
             # One row per block: every comparison crosses a block boundary.
             monkeypatch.setattr(refine, "CHECK_BLOCK_BYTES", block_bytes)
-        g21 = as_graph(reference["g21"])
-        for start, step, codes in (
-            (seed_recognize_vertices(g21), sas_step, _unordered_pair_codes),
-            (DirectedLabeledGraph(seed_recognize_vertices(g21).labels), wl_step, _ordered_pair_codes),
-        ):
-            iterates = [start, step(start)]
-            while dim(iterates[-1]) > dim(iterates[-2]):
-                iterates.append(step(iterates[-1]))
-            # iterates[-2] is stable, so iterates[-3] is one round short.
-            assert len(iterates) >= 3
-            assert not _exactly_stable(iterates[-3], codes)
-            assert _exactly_stable(iterates[-2], codes)
+        # On the binding graph the check compares one entry per orbit of the
+        # cell swap (see TestOrbitSkip).
+        for g in (as_graph(reference["g21"]), asymmetric_pair_binding_graph()):
+            for start, step, codes in seeded_processes(g):
+                iterates = stable_iterates(start, step)
+                assert len(iterates) >= 3
+                assert not _exactly_stable(iterates[-3], codes)
+                assert _exactly_stable(iterates[-2], codes)
         assert _exactly_stable(as_graph(reference["g21_stable"]), _unordered_pair_codes)
 
     def test_exactness_bound_raises_before_any_work(self, monkeypatch):
@@ -451,15 +483,59 @@ class TestEvaluatedRounds:
         self.assert_identical(wl_stabilize(g), exact_wl(g))
 
 
+class TestOrbitSkip:
+    """Where swapping the two vertices of every two-vertex cell is an
+    automorphism, the fixpoint check compares one entry per orbit."""
+
+    def test_swap_found_and_verified_on_binding_graph_of_asymmetric_pair(self):
+        # Found on the stable iterate and on the one a round short of it, so
+        # the check rejects and accepts these through the orbit skip.
+        for start, step, _ in seeded_processes(asymmetric_pair_binding_graph()):
+            for g in stable_iterates(start, step)[-3:-1]:
+                tau = _cell_swap(g)
+                identity = np.arange(g.n)
+                assert tau is not None
+                assert (tau != identity).any()
+                assert np.array_equal(tau[tau], identity)
+                assert np.array_equal(g.labels[np.ix_(tau, tau)], g.labels)
+                # Every moved vertex shares its diagonal label with its image alone.
+                diag = g.labels.diagonal()
+                for u in np.flatnonzero(tau != identity):
+                    assert np.flatnonzero(diag == diag[u]).tolist() == sorted((u, tau[u]))
+
+    def test_unverified_swap_is_not_used(self):
+        # Vertices 1 and 2 form a two-vertex cell, but vertex 0 meets them by
+        # different labels: the swap is no automorphism, and trusting it
+        # would hide that (1,1) and (2,2) have different pair codes.
+        m = np.array([[3, 1, 2], [1, 4, 0], [2, 0, 4]])
+        for graph, codes in (
+            (LabeledGraph(m), _unordered_pair_codes),
+            (DirectedLabeledGraph(m), _ordered_pair_codes),
+        ):
+            assert _cell_swap(graph) is None
+            assert not _exactly_stable(graph, codes)
+
+    def test_no_two_vertex_cell_no_swap(self):
+        assert _cell_swap(seed_recognize_vertices(petersen_graph())) is None
+        assert _cell_swap(LabeledGraph(np.array([[1, 0], [0, 2]]))) is None
+
+
 class TestDeterminism:
     def test_identical_labels_across_processes(self, reference):
         """Substitution determinism: a separate interpreter must produce the
         byte-identical stable matrices, not merely equivalent ones, although
         the loops draw random evaluation points."""
         import hashlib
+        import os
         import subprocess
         import sys
 
+        import graphbind
+
+        # The child imports the same graphbind as this process, installed or not.
+        env = dict(os.environ)
+        package_root = os.path.dirname(os.path.dirname(os.path.abspath(graphbind.__file__)))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (package_root, env.get("PYTHONPATH"))))
         script = (
             "import hashlib, numpy as np\n"
             "from graphbind.corpus import demo_graph\n"
@@ -469,7 +545,7 @@ class TestDeterminism:
             "    print(hashlib.sha256(m.tobytes()).hexdigest())\n"
         )
         out = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, check=True
+            [sys.executable, "-c", script], capture_output=True, text=True, check=True, env=env
         ).stdout.split()
         from graphbind.corpus import demo_graph
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from graphbind.validate import CHECKS, CorpusSpec, bench, build_corpus, validate_suite
+from graphbind.validate import CHECKS, CorpusSpec, build_corpus, validate_suite
 
 
 def test_quick_suite_structure_and_classification():
@@ -34,12 +34,3 @@ def test_corpus_contains_named_and_exhaustive_parts():
     assert any(name.startswith("all/n3/") for name in names)
     assert "named/petersen" in names
     assert "named/pitfall21" in names
-
-
-def test_bench_table_shape():
-    table = bench(sizes=[6, 8], seed=1)
-    assert {row["family"] for row in table["rows"]} == {"random", "petersen"}
-    assert all(row["order"] == row["basic_n"] * (row["basic_n"] + 1) // 2 for row in table["binding"])
-    petersen = next(row for row in table["rows"] if row["family"] == "petersen")
-    assert petersen["rounds"] == 1
-    assert table["loglog_slope"] is not None
