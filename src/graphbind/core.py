@@ -63,6 +63,10 @@ def distinct_values(arr: np.ndarray) -> np.ndarray:
 
 def _single_valued(keys: np.ndarray, values: np.ndarray) -> bool:
     """True iff equal entries of `keys` always face equal entries of `values`."""
+    top = int(values.max())
+    if int(keys.max()) * (top + 1) + top > np.iinfo(np.int64).max:
+        # Pair codes would overflow int64; renumbering keeps which entries are equal.
+        keys, values = first_encounter_relabel(keys), first_encounter_relabel(values)
     stride = int(values.max()) + 1
     pair_keys = distinct_values(keys.astype(np.int64) * stride + values) // stride
     return not (pair_keys[1:] == pair_keys[:-1]).any()

@@ -14,10 +14,12 @@ values.  Equal multisets always evaluate equal, so an evaluated round can
 only merge classes that the exact round keeps apart (Schwartz-Zippel bounds
 the chance by 2/`PRIME` per point), and it still refines its input.  The
 loop therefore checks its fixpoint exactly, once: every label class must
-have identical sorted pair-code rows.  Where the involution that swaps the
-two vertices of every two-vertex cell is verified to preserve every label,
-one entry is checked per orbit of it, since it maps each entry's pair codes
-onto its image's term by term.  Where a collision hid a split, the
+have identical sorted pair-code rows.  A best-effort individualization-
+refinement search (`_automorphisms`) first looks for vertex permutations
+that preserve every label, and verifies each one it returns.  Such a
+permutation maps each entry's pair codes onto its image's term by term, so
+an entry that one of them maps to a smaller position need not be checked;
+at least one entry of every orbit still is.  Where a collision hid a split, the
 reference round runs and refinement continues, so the stable graph returned
 is always the exact one, numbered as the reference rounds number it.
 
@@ -80,12 +82,28 @@ def seed_recognize_vertices(g: LabeledGraph) -> LabeledGraph:
     untouched.  Fresh labels start above every existing label, matching the
     usual seeding of a 0/1 graph whose diagonal becomes 2.
     """
-    fresh_base = int(g.labels.max()) + 1
-    diag = g.labels.diagonal()
-    new_diag = first_encounter_relabel(diag.reshape(1, -1)).ravel() + fresh_base - 1
+    top = int(g.labels.max())
+    diag = first_encounter_relabel(g.labels.diagonal())
+    if top + int(diag.max()) > np.iinfo(np.int64).max:
+        raise GraphError(
+            f"label {top} is too large to seed: {int(diag.max())} fresh diagonal "
+            "label(s) above it would pass the int64 limit 2**63 - 1"
+        )
+    new_diag = diag + top
     out = g.labels.copy()
     np.fill_diagonal(out, new_diag)
     return LabeledGraph(out)
+
+
+def _dense_labels(m: np.ndarray) -> np.ndarray:
+    """`m`, renumbered by first encounter if some label is not below its size.
+
+    Rounds code a pair of labels as a * (max + 1) + b and index arrays by
+    label.  Below n*n neither overflows int64 for any order under 55,000,
+    and renumbering keeps which entries are equal, so the output of a round
+    does not change.
+    """
+    return first_encounter_relabel(m) if m.max() >= m.size else m
 
 
 def _require_recognizing(g: AnyGraph) -> None:
@@ -103,7 +121,7 @@ def sas_step(g: LabeledGraph) -> LabeledGraph:
     full row-major traversal would first meet them.
     """
     _require_recognizing(g)
-    m = g.labels
+    m = _dense_labels(g.labels)
     n = g.n
     stride = int(m.max()) + 1
     ids: dict[bytes, int] = {}
@@ -124,7 +142,7 @@ def wl_step(g: DirectedLabeledGraph) -> DirectedLabeledGraph:
     output may be asymmetric but stays converse equivalent.
     """
     _require_recognizing(g)
-    m = g.labels
+    m = _dense_labels(g.labels)
     n = g.n
     mt = np.ascontiguousarray(m.T)
     stride = int(m.max()) + 1
@@ -181,10 +199,8 @@ def _evaluated_round(g: AnyGraph, rng: np.random.Generator, *, directed: bool) -
     upper triangle is keyed: row-major, it meets every value where the full
     matrix does.
     """
-    m = g.labels
+    m = _dense_labels(g.labels)
     n = g.n
-    if m.max() >= m.size:  # sparse input labels: index the points densely
-        m = first_encounter_relabel(m)
     upper = None if directed else np.triu(np.ones((n, n), dtype=bool))
     points = rng.integers(0, PRIME, size=(EVALUATIONS, 1 + directed, int(m.max()) + 1))
     values = None
@@ -229,24 +245,113 @@ def _ordered_pair_codes(rows: np.ndarray, columns: np.ndarray, stride: int) -> n
     return rows * stride + columns
 
 
-def _cell_swap(g: AnyGraph) -> np.ndarray | None:
-    """The involution that swaps the two vertices of every two-vertex cell.
+def _refinement_step(labels: np.ndarray, colours: np.ndarray, x: int, stride: int) -> np.ndarray:
+    """Individualize vertex `x` and split every colour class by its label from `x`.
 
-    Cells are the classes of diagonal labels.  The involution is returned
-    only if it moves some vertex and preserves every label, that is, if it is
-    an automorphism of `g`; otherwise None.
+    Vertex v is ranked by (colours[v], v != x, labels[x, v]).  Ranks come
+    from these values alone, so the step commutes with every renumbering of
+    the vertices.  `stride` exceeds every label.
     """
-    diag = g.labels.diagonal()
-    paired = np.flatnonzero(np.bincount(diag)[diag] == 2)
-    if paired.size == 0:
-        return None
-    # Sorted by label, the two vertices of each cell are adjacent.
-    paired = paired[np.argsort(diag[paired], kind="stable")]
-    tau = np.arange(g.n)
-    tau[paired] = paired.reshape(-1, 2)[:, ::-1].ravel()
-    if not np.array_equal(g.labels[np.ix_(tau, tau)], g.labels):
-        return None
-    return tau
+    key = colours * 2 + (np.arange(colours.size) != x)
+    key *= stride
+    key += labels[x]
+    return np.unique(key, return_inverse=True)[1]
+
+
+def _target_cell(colours: np.ndarray) -> np.ndarray | None:
+    """The vertices of the smallest colour with two or more, or None if none has."""
+    several = np.flatnonzero(np.bincount(colours) >= 2)
+    return np.flatnonzero(colours == several[0]) if several.size else None
+
+
+def _preserves_labels(labels: np.ndarray, pi: np.ndarray, rows: tuple[int, ...]) -> bool:
+    """True iff labels[pi[u], pi[v]] == labels[u, v] for all u, v.
+
+    The given rows are compared first, as a cheap rejection; then the whole
+    matrix, in blocks of about CHECK_BLOCK_BYTES.
+    """
+    for u in rows:
+        if not np.array_equal(labels[pi[u], pi], labels[u]):
+            return False
+    block = max(1, CHECK_BLOCK_BYTES // (labels.itemsize * labels.shape[0]))
+    for lo in range(0, labels.shape[0], block):
+        image = np.take(labels[pi[lo : lo + block]], pi, axis=1)
+        if not np.array_equal(image, labels[lo : lo + block]):
+            return False
+    return True
+
+
+def _automorphisms(g: AnyGraph) -> list[np.ndarray]:
+    """Label-preserving vertex permutations of `g`, found by individualization-refinement.
+
+    Colours start as the ranks of the diagonal labels.  A refinement step
+    individualizes a vertex of the smallest colour with several vertices
+    (`_refinement_step`).  The base leaf always takes the least such vertex
+    b_j, at levels j = 0, 1, ..., until every colour has one vertex.  From
+    the deepest level up, every other vertex y of b_j's cell that is not yet
+    in b_j's orbit under the permutations found so far (all of them fix
+    b_0 ... b_{j-1}) replaces b_j, and greedy steps lead to a new leaf.  The
+    permutation pi sends each vertex to the vertex of the same colour in the
+    new leaf; it is kept only if it preserves every label.
+
+    The search is best effort: it takes at most n refinement steps, the base
+    leaf included, which bounds the refinement by O(n^2 log n), and returns
+    what it has verified when they run out.  A new leaf is compared in full,
+    at O(n^2), only if the rows of b_j and y already match.
+    """
+    n = g.n
+    labels = g.labels
+    stride = int(labels.max()) + 1
+    steps = n
+
+    def leaf(colours: np.ndarray, x: int | None, levels: list | None = None) -> np.ndarray | None:
+        """Individualize `x`, then greedily the least vertex of each target
+        cell, until every colour has one vertex; None once the budget is spent."""
+        nonlocal steps
+        while x is not None:
+            if steps == 0:
+                return None
+            steps -= 1
+            colours = _refinement_step(labels, colours, x, stride)
+            cell = _target_cell(colours)
+            x = None if cell is None else int(cell[0])
+            if levels is not None and x is not None:
+                levels.append((colours, cell))
+        return colours
+
+    colours = np.unique(labels.diagonal(), return_inverse=True)[1]
+    cell = _target_cell(colours)
+    if cell is None:
+        return []
+    levels = [(colours, cell)]
+    base = leaf(colours, int(cell[0]), levels)
+    if base is None:
+        return []
+    generators: list[np.ndarray] = []
+    orbit = list(range(n))  # union-find forest of the orbits of `generators`
+
+    def root(v: int) -> int:
+        while orbit[v] != v:
+            orbit[v] = orbit[orbit[v]]
+            v = orbit[v]
+        return v
+
+    for colours, cell in reversed(levels):
+        b = int(cell[0])
+        for y in cell[1:].tolist():
+            if root(y) == root(b):
+                continue
+            other = leaf(colours, y)
+            if other is None:
+                return generators
+            pi = np.empty(n, dtype=np.intp)
+            pi[other] = np.arange(n)
+            pi = pi[base]
+            if _preserves_labels(labels, pi, (b, y)):
+                generators.append(pi)
+                for u in np.flatnonzero(pi != np.arange(n)).tolist():
+                    orbit[root(u)] = root(int(pi[u]))
+    return generators
 
 
 def _exactly_stable(g: AnyGraph, pair_codes) -> bool:
@@ -254,34 +359,51 @@ def _exactly_stable(g: AnyGraph, pair_codes) -> bool:
 
     Labels are at most n*n, as every round numbers them.  Entries of one
     class must have equal sorted pair-code rows.  For symmetric graphs the
-    upper triangle suffices, since (u,v) and (v,u) share a code.  Where
-    `_cell_swap` finds an automorphism tau, entry (tau u, tau v) has the
-    label and, term by term, the pair codes of (u,v), so only one entry of
-    each orbit {e, tau e} is checked: the one with the smaller position,
-    after a symmetric image is moved into the upper triangle.  The checked
-    entries of every class with two or more of them are visited class by
-    class, in blocks of about CHECK_BLOCK_BYTES, and each row is compared
-    with the row before it in its class.  A class left with one checked
-    entry needs no check.  Codes are held in the narrowest unsigned type
-    that fits them, which halves the sorting time or better.
+    upper triangle suffices, since (u,v) and (v,u) share a code.  For every
+    automorphism pi of `g` that `_automorphisms` returns, entry
+    (pi u, pi v) has the label and, term by term, the pair codes of (u,v);
+    so every entry that some pi maps to a smaller position (after a
+    symmetric image is moved into the upper triangle) is dropped.  The least
+    entry of every orbit of the group they generate stays, so every entry
+    still meets a checked one of its class.  The search runs only where the
+    checked entries of classes with two or more of them fill more than one
+    block.  Those entries are visited class by class, in blocks of about
+    CHECK_BLOCK_BYTES, and each row is compared with the row before it in
+    its class.  A class left with one checked entry needs no check.  Codes
+    are held in the narrowest unsigned type that fits them, which halves the
+    sorting time or better.
     """
     n = g.n
     stride = int(g.labels.max()) + 1
     m = g.labels.astype(np.min_scalar_type(stride * stride - 1))
     symmetric = isinstance(g, LabeledGraph)
+    columns = m if symmetric else np.ascontiguousarray(m.T)
+    block = max(1, CHECK_BLOCK_BYTES // (m.itemsize * n))
+    counts = np.bincount(g.labels.ravel())
+    if symmetric:  # the upper triangle holds each off-diagonal entry once
+        counts += np.bincount(g.labels.diagonal(), minlength=counts.size)
+        counts //= 2
+    generators = _automorphisms(g) if counts[counts >= 2].sum() > block else []
+    del counts
     if symmetric:
-        columns = m
-        checked = np.triu(np.ones((n, n), dtype=bool))
+        positions = np.flatnonzero(np.triu(np.ones((n, n), dtype=bool)))
     else:
-        columns = np.ascontiguousarray(m.T)
-        checked = np.ones((n, n), dtype=bool)
-    tau = _cell_swap(g)
-    if tau is not None:
-        u, v = tau[:, None], tau[None, :]
-        if symmetric:
-            u, v = np.minimum(u, v), np.maximum(u, v)
-        checked &= u * n + v >= np.arange(n * n).reshape(n, n)
-    positions = np.flatnonzero(checked)
+        positions = np.arange(n * n)
+    if generators:
+        kept = []
+        span = max(1, CHECK_BLOCK_BYTES // 8)  # int64 entries per chunk
+        for lo in range(0, positions.size, span):
+            chunk = positions[lo : lo + span]
+            for pi in generators:
+                u, v = np.divmod(chunk, n)
+                u, v = pi[u], pi[v]
+                if symmetric:
+                    u, v = np.minimum(u, v), np.maximum(u, v)
+                u *= n
+                u += v
+                chunk = chunk[u >= chunk]
+            kept.append(chunk)
+        positions = np.concatenate(kept)
     labels = g.labels.ravel()[positions]
     order = np.argsort(labels, kind="stable")
     labels = labels[order]
@@ -291,7 +413,6 @@ def _exactly_stable(g: AnyGraph, pair_codes) -> bool:
     in_class[:-1] |= shared
     order = positions[order[in_class]]
     labels = labels[in_class]
-    block = max(1, CHECK_BLOCK_BYTES // (m.itemsize * n))
     last_label, last_row = None, None
     for lo in range(0, order.size, block):
         entries = order[lo : lo + block]

@@ -13,18 +13,23 @@ from graphbind.core import (
     DirectedLabeledGraph,
     GraphError,
     LabeledGraph,
+    Partition,
     dim,
+    first_encounter_relabel,
     is_equivalent,
     is_imbedded,
     permuted,
 )
 from graphbind.corpus import (
     complete_graph,
+    from_edges,
     path_graph,
     petersen_graph,
     random_connected_graph,
     random_graph,
     random_permutation,
+    rook_graph_4x4,
+    shrikhande_graph,
 )
 from graphbind.descgraph import BudgetExceededError
 from graphbind.oracle import automorphism_orbits
@@ -32,7 +37,7 @@ from graphbind.partition import vertex_partition
 from graphbind.refine import (
     PRIME,
     VertexRecognitionError,
-    _cell_swap,
+    _automorphisms,
     _exactly_stable,
     _ordered_pair_codes,
     _unordered_pair_codes,
@@ -47,6 +52,13 @@ from graphbind.refine import (
 )
 
 from conftest import as_graph, cells_from_diagonal
+
+
+#: Labels of 2**31 and above: pair codes min * (max + 1) + max of them pass
+#: 2**63, so a round must renumber them first, as the evaluated round does.
+WIDE_LABELS = np.array(
+    [[7, 9, 9, 5], [9, 7, 9, 5 + 2**31], [9, 9, 8, 2**33 - 1], [5, 5 + 2**31, 2**33 - 1, 8]]
+)
 
 
 def seeded_p3() -> LabeledGraph:
@@ -152,6 +164,19 @@ def asymmetric_pair_binding_graph() -> LabeledGraph:
     return binding_graph(wing_graph(a, permuted(a, random_permutation(6, seed=1)))).graph
 
 
+def symmetric_pair_binding_graphs() -> list[LabeledGraph]:
+    """Binding graphs of two regular pairs with large stable cells.
+
+    K3,3 against the prism is a NO pair of order 91; the Petersen graph
+    against a relabeled copy is a YES pair of order 231.
+    """
+    k33 = from_edges(6, [(i, j) for i in range(3) for j in range(3, 6)])
+    prism = from_edges(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3), (1, 4), (2, 5)])
+    petersen = petersen_graph()
+    relabeled = permuted(petersen, random_permutation(10, seed=3))
+    return [binding_graph(wing_graph(a, b)).graph for a, b in ((k33, prism), (petersen, relabeled))]
+
+
 def numbered(codes: list[list[tuple]]) -> np.ndarray:
     """Label codes 1, 2, ... by first encounter in row-major order."""
     first: dict[tuple, int] = {}
@@ -183,6 +208,17 @@ class TestSeed:
     def test_order_one(self):
         g = LabeledGraph(np.array([[0]]))
         assert seed_recognize_vertices(g).labels[0, 0] == 1
+
+    def test_labels_near_the_int64_limit(self):
+        top = np.iinfo(np.int64).max
+        # One fresh label above 2**63 - 1, or two above 2**63 - 2, would
+        # overflow; the last label that fits is accepted.
+        for m in ([[0, top], [top, 0]], [[0, top - 1], [top - 1, 1]]):
+            for stabilize in (sas_stabilize, wl_stabilize):
+                with pytest.raises(GraphError, match="int64 limit"):
+                    stabilize(LabeledGraph(np.array(m)))
+        seeded = seed_recognize_vertices(LabeledGraph(np.array([[0, top - 2], [top - 2, 1]])))
+        assert seeded.labels.diagonal().tolist() == [top - 1, top]
 
 
 class TestSasStep:
@@ -217,6 +253,13 @@ class TestSasStep:
                 assert np.array_equal(out.labels, numbered(brute_pair_codes(g)))
                 g = out
 
+    def test_labels_of_2_to_the_31_and_above(self):
+        g = LabeledGraph(WIDE_LABELS)
+        dense = LabeledGraph(first_encounter_relabel(WIDE_LABELS))
+        assert np.array_equal(sas_step(g).labels, numbered(brute_pair_codes(g)))
+        assert np.array_equal(sas_step(g).labels, sas_step(dense).labels)
+        assert dim(sas_step(g)) == 10
+
     def test_stable_graph_is_fixpoint(self, reference):
         stable = as_graph(reference["g21_stable"])
         assert is_equivalent(sas_step(stable), stable)
@@ -249,6 +292,12 @@ class TestWlStep:
                 out = wl_step(g)
                 assert np.array_equal(out.labels, numbered(brute_ordered_pair_codes(g)))
                 g = out
+
+    def test_labels_of_2_to_the_31_and_above(self):
+        g = DirectedLabeledGraph(WIDE_LABELS)
+        dense = DirectedLabeledGraph(first_encounter_relabel(WIDE_LABELS))
+        assert np.array_equal(wl_step(g).labels, numbered(brute_ordered_pair_codes(g)))
+        assert np.array_equal(wl_step(g).labels, wl_step(dense).labels)
 
     def test_output_converse_equivalent_on_random_graphs(self):
         for seed in range(6):
@@ -401,7 +450,7 @@ class TestEvaluatedRounds:
             self.assert_identical(wl_stabilize(g), exact_wl(g))
 
     def test_identical_on_binding_graphs_of_yes_and_no_pairs(self):
-        bound_graphs = [asymmetric_pair_binding_graph()]
+        bound_graphs = [asymmetric_pair_binding_graph(), *symmetric_pair_binding_graphs()]
         for n in range(3, 7):
             for seed in range(3):
                 a = random_connected_graph(n, 0.5, seed=10 * n + seed)
@@ -449,9 +498,13 @@ class TestEvaluatedRounds:
         if block_bytes is not None:
             # One row per block: every comparison crosses a block boundary.
             monkeypatch.setattr(refine, "CHECK_BLOCK_BYTES", block_bytes)
-        # On the binding graph the check compares one entry per orbit of the
-        # cell swap (see TestOrbitSkip).
-        for g in (as_graph(reference["g21"]), asymmetric_pair_binding_graph()):
+        # On the binding graphs the check compares one entry per orbit of the
+        # automorphisms it finds (see TestAutomorphismSearch).
+        for g in (
+            as_graph(reference["g21"]),
+            asymmetric_pair_binding_graph(),
+            *symmetric_pair_binding_graphs(),
+        ):
             for start, step, codes in seeded_processes(g):
                 iterates = stable_iterates(start, step)
                 assert len(iterates) >= 3
@@ -483,41 +536,126 @@ class TestEvaluatedRounds:
         self.assert_identical(wl_stabilize(g), exact_wl(g))
 
 
-class TestOrbitSkip:
-    """Where swapping the two vertices of every two-vertex cell is an
-    automorphism, the fixpoint check compares one entry per orbit."""
+def orbit_partition(n: int, generators: list[np.ndarray]) -> Partition:
+    """Vertex orbits of the group the permutations generate."""
+    cell = list(range(n))
 
-    def test_swap_found_and_verified_on_binding_graph_of_asymmetric_pair(self):
-        # Found on the stable iterate and on the one a round short of it, so
-        # the check rejects and accepts these through the orbit skip.
-        for start, step, _ in seeded_processes(asymmetric_pair_binding_graph()):
-            for g in stable_iterates(start, step)[-3:-1]:
-                tau = _cell_swap(g)
-                identity = np.arange(g.n)
-                assert tau is not None
-                assert (tau != identity).any()
-                assert np.array_equal(tau[tau], identity)
-                assert np.array_equal(g.labels[np.ix_(tau, tau)], g.labels)
-                # Every moved vertex shares its diagonal label with its image alone.
-                diag = g.labels.diagonal()
-                for u in np.flatnonzero(tau != identity):
-                    assert np.flatnonzero(diag == diag[u]).tolist() == sorted((u, tau[u]))
+    def root(v):
+        while cell[v] != v:
+            v = cell[v]
+        return v
 
-    def test_unverified_swap_is_not_used(self):
+    for pi in generators:
+        for u in range(n):
+            cell[root(u)] = root(int(pi[u]))
+    cells: dict[int, list[int]] = {}
+    for v in range(n):
+        cells.setdefault(root(v), []).append(v)
+    return Partition.from_cells(cells.values())
+
+
+class TestAutomorphismSearch:
+    """`_automorphisms` finds label-preserving permutations by
+    individualization-refinement, and the fixpoint check skips the entries
+    they map to smaller positions."""
+
+    @staticmethod
+    def stable_graphs(g: LabeledGraph) -> list:
+        return [sas_stabilize(g).stable, wl_stabilize(g).stable]
+
+    def test_every_permutation_preserves_every_label(self):
+        shrikhande_rook = binding_graph(wing_graph(shrikhande_graph(), rook_graph_4x4())).graph
+        for bound in [*symmetric_pair_binding_graphs(), shrikhande_rook]:
+            for stable in self.stable_graphs(bound):
+                generators = _automorphisms(stable)
+                assert generators
+                for pi in generators:
+                    assert sorted(pi.tolist()) == list(range(stable.n))
+                    assert np.array_equal(stable.labels[np.ix_(pi, pi)], stable.labels)
+
+    def test_orbits_are_the_stable_cells_on_k33_against_prism(self):
+        # The search is best effort; on this NO pair it finds the whole
+        # automorphism partition of each stable iterate.
+        bound = symmetric_pair_binding_graphs()[0]
+        for stable in self.stable_graphs(bound):
+            assert orbit_partition(stable.n, _automorphisms(stable)) == vertex_partition(stable)
+
+    def test_broken_cell_swap_gets_no_generator_and_is_rejected(self, monkeypatch):
         # Vertices 1 and 2 form a two-vertex cell, but vertex 0 meets them by
         # different labels: the swap is no automorphism, and trusting it
-        # would hide that (1,1) and (2,2) have different pair codes.
-        m = np.array([[3, 1, 2], [1, 4, 0], [2, 0, 4]])
-        for graph, codes in (
-            (LabeledGraph(m), _unordered_pair_codes),
-            (DirectedLabeledGraph(m), _ordered_pair_codes),
-        ):
-            assert _cell_swap(graph) is None
-            assert not _exactly_stable(graph, codes)
+        # would hide that (1,1) and (2,2) have different pair codes.  With
+        # one-byte blocks the check runs the search on this graph too.
+        import graphbind.refine as refine
 
-    def test_no_two_vertex_cell_no_swap(self):
-        assert _cell_swap(seed_recognize_vertices(petersen_graph())) is None
-        assert _cell_swap(LabeledGraph(np.array([[1, 0], [0, 2]]))) is None
+        m = np.array([[3, 1, 2], [1, 4, 0], [2, 0, 4]])
+        for block_bytes in (refine.CHECK_BLOCK_BYTES, 1):
+            monkeypatch.setattr(refine, "CHECK_BLOCK_BYTES", block_bytes)
+            for graph, codes in (
+                (LabeledGraph(m), _unordered_pair_codes),
+                (DirectedLabeledGraph(m), _ordered_pair_codes),
+            ):
+                assert _automorphisms(graph) == []
+                assert not _exactly_stable(graph, codes)
+
+    def test_leaf_is_verified_beyond_the_individualized_rows(self):
+        # Individualizing 0 or 1 makes every colour a singleton, and the two
+        # leaves pair up as pi = (0 1)(2 3), which maps rows 0 and 1 onto
+        # each other label by label.  But pi sends (2,4) to (3,4), labels 6
+        # and 7: the graph has no automorphism besides the identity.
+        m = np.array(
+            [
+                [10, 1, 2, 3, 4],
+                [1, 10, 3, 2, 4],
+                [2, 3, 10, 5, 6],
+                [3, 2, 5, 10, 7],
+                [4, 4, 6, 7, 10],
+            ]
+        )
+        pi = np.array([1, 0, 3, 2, 4])
+        for u in (0, 1):
+            assert np.array_equal(m[pi[u], pi], m[u])
+        assert not np.array_equal(m[np.ix_(pi, pi)], m)
+        assert _automorphisms(LabeledGraph(m)) == []
+
+    def test_search_budget_on_a_complete_graph(self, monkeypatch):
+        # The base leaf of K200 alone takes 199 steps; without the budget
+        # the search would take about 20,000.
+        import graphbind.refine as refine
+
+        g = seed_recognize_vertices(complete_graph(200))
+        individualized = []
+        step = refine._refinement_step
+
+        def counted(labels, colours, x, stride):
+            individualized.append(x)
+            return step(labels, colours, x, stride)
+
+        monkeypatch.setattr(refine, "_refinement_step", counted)
+        for pi in _automorphisms(g):
+            assert np.array_equal(g.labels[np.ix_(pi, pi)], g.labels)
+        assert 0 < len(individualized) <= g.n
+        assert _exactly_stable(g, _unordered_pair_codes)
+        monkeypatch.setattr(refine, "_automorphisms", lambda graph: [])
+        assert _exactly_stable(g, _unordered_pair_codes)
+
+    def test_decisions_identical_without_the_search(self, monkeypatch):
+        import graphbind.refine as refine
+        from graphbind.decide import gi_decide
+
+        s, r = shrikhande_graph(), rook_graph_4x4()
+        pairs = [
+            (s, r),
+            (s, permuted(s, random_permutation(16, seed=1))),
+            (r, permuted(r, random_permutation(16, seed=2))),
+        ]
+
+        def evidence(result):
+            return result.verdict, result.partition, result.rounds, result.dims
+
+        with_search = [evidence(gi_decide(a, b)) for a, b in pairs]
+        monkeypatch.setattr(refine, "_automorphisms", lambda graph: [])
+        assert [evidence(gi_decide(a, b)) for a, b in pairs] == with_search
+        assert [verdict for verdict, *_ in with_search] == [False, True, True]
 
 
 class TestDeterminism:
