@@ -15,12 +15,7 @@ from . import __version__
 from .binding import binding_graph, build_phi, build_psi, build_theta
 from .core import DirectedLabeledGraph, GraphError, LabeledGraph
 from .decide import DEFAULT_MAX_BINDING_ORDER, gi_decide
-from .descgraph import (
-    DEFAULT_ADJOINT_PRIME,
-    adjoint_description_graph,
-    gamma_description_graph,
-    spectral_description_graph,
-)
+from .descgraph import adjoint_description_graph, gamma_description_graph, spectral_description_graph
 from .graphio import FORMATS, guess_format, read_graph, write_directed_graph, write_graph
 from .oracle import automorphism_orbits, is_isomorphic_bruteforce
 from .partition import partition_json
@@ -77,7 +72,7 @@ def cmd_descgraph(args) -> int:
     if args.process == "gamma":
         out = gamma_description_graph(g, args.t)
     elif args.process == "adjoint":
-        out = adjoint_description_graph(g, trials=args.trials, prime=args.prime, seed=args.seed)
+        out = adjoint_description_graph(g, seed=args.seed)
     else:
         out = spectral_description_graph(g, tol=args.tol)
     _write(out, args.outfile, args.out_format)
@@ -167,8 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_arguments(p)
     p.add_argument("--process", choices=["gamma", "adjoint", "spectral"], default="gamma")
     p.add_argument("--t", type=int, default=None, help="walk-length truncation (default n-1)")
-    p.add_argument("--trials", type=int, default=3)
-    p.add_argument("--prime", type=int, default=DEFAULT_ADJOINT_PRIME)
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_descgraph)

@@ -36,10 +36,10 @@ from .core import (
 #: Monomial-count budget for exact walk polynomials (desk scale n <= 12).
 GAMMA_TERM_BUDGET = 5_000_000
 
-#: 62-bit prime used for adjugate evaluations.
-DEFAULT_ADJOINT_PRIME = 4611686018427387847
-
-_MIN_ADJOINT_PRIME = 1 << 61
+#: The prime field of the adjugate evaluations: 2**62 - 57.
+ADJOINT_PRIME = 4611686018427387847
+#: Independent random evaluations per adjugate description graph.
+ADJOINT_TRIALS = 3
 
 
 class BudgetExceededError(GraphError):
@@ -218,31 +218,6 @@ def spectral_description_graph(a: LabeledGraph, tol: float = 1e-9) -> LabeledGra
 # ---------------------------------------------------------------------------
 # Adjugate route.
 
-def _is_probable_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    small = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
-    for q in small:
-        if p % q == 0:
-            return p == q
-    d, s = p - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    # Deterministic for p < 3.3e24 with these bases.
-    for base in small:
-        x = pow(base, d, p)
-        if x in (1, p - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % p
-            if x == p - 1:
-                break
-        else:
-            return False
-    return True
-
-
 def _modular_adjugate(m: list[list[int]], p: int) -> list[list[int]] | None:
     """adj(M) = det(M) * inv(M) mod p; None when M is singular mod p."""
     n = len(m)
@@ -269,42 +244,31 @@ def _modular_adjugate(m: list[list[int]], p: int) -> list[list[int]] | None:
     return [[det * x % p for x in row] for row in inv]
 
 
-def adjoint_description_graph(
-    a: LabeledGraph,
-    trials: int = 3,
-    prime: int = DEFAULT_ADJOINT_PRIME,
-    seed: int | None = None,
-) -> LabeledGraph:
+def adjoint_description_graph(a: LabeledGraph, seed: int | None = None) -> LabeledGraph:
     """Description graph via the adjugate of the characteristic matrix.
 
     Entries of adj(lambda*I - A) are polynomials in lambda and the labels;
-    they are compared by evaluating at `trials` independent uniformly random
-    assignments over the prime field and grouping positions equal at all of
-    them.  The decision is one-sided Monte Carlo: distinct polynomials
-    collide with probability at most deg/prime per trial.
+    they are compared by evaluating at ADJOINT_TRIALS independent uniformly
+    random assignments over GF(ADJOINT_PRIME) and grouping positions equal at
+    all of them.  The decision is one-sided Monte Carlo: distinct polynomials
+    collide with probability at most deg/ADJOINT_PRIME per trial.
     """
-    if trials < 2:
-        raise GraphError("at least two independent trials are required")
-    if prime < _MIN_ADJOINT_PRIME:
-        raise GraphError("prime too small: need at least 2**61")
-    if not _is_probable_prime(prime):
-        raise GraphError(f"{prime} is not prime")
     rng = random.Random(seed)
     n = a.n
     labels = np.unique(a.labels).tolist()
     samples: list[list[list[int]]] = []
-    while len(samples) < trials:
+    while len(samples) < ADJOINT_TRIALS:
         # The blank is the annihilating non-edge marker, not an independent
         # variable; only the true labels are randomized.
         assignment = {
-            label: (0 if label == BLANK else rng.randrange(prime)) for label in labels
+            label: (0 if label == BLANK else rng.randrange(ADJOINT_PRIME)) for label in labels
         }
-        lam = rng.randrange(prime)
+        lam = rng.randrange(ADJOINT_PRIME)
         m = [
-            [((lam if i == j else 0) - assignment[int(a.labels[i, j])]) % prime for j in range(n)]
+            [((lam if i == j else 0) - assignment[int(a.labels[i, j])]) % ADJOINT_PRIME for j in range(n)]
             for i in range(n)
         ]
-        adj = _modular_adjugate(m, prime)
+        adj = _modular_adjugate(m, ADJOINT_PRIME)
         if adj is None:
             continue  # unlucky lambda hit an eigenvalue mod p; resample
         samples.append(adj)

@@ -187,7 +187,8 @@ def _emit_edgelist(g: LabeledGraph) -> str:
 # ---------------------------------------------------------------------------
 # matrix-json: {"n": ..., "labels": [[...]]}
 
-def _parse_matrix_json(text: str) -> LabeledGraph:
+def _matrix_json_labels(text: str) -> np.ndarray:
+    """The label matrix of a matrix-json document, with the dtype its labels give."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -195,16 +196,24 @@ def _parse_matrix_json(text: str) -> LabeledGraph:
     if not isinstance(doc, dict) or "n" not in doc or "labels" not in doc:
         raise ParseError('expected an object with "n" and "labels"', 1)
     labels = doc["labels"]
-    if len(labels) != doc["n"]:
+    if not isinstance(labels, list) or len(labels) != doc["n"]:
         raise ParseError('"labels" does not have "n" rows', 1)
-    return LabeledGraph(np.asarray(labels, dtype=np.int64))
+    if any(not isinstance(row, list) or len(row) != len(labels) for row in labels):
+        raise ParseError('every row of "labels" must be a list of "n" labels', 1)
+    # JSON true and false load as bool, a subclass of int; 1.0 loads as a float.
+    if any(type(label) is not int or not 0 <= label < 2**63 for row in labels for label in row):
+        raise ParseError("labels must be integers from 0 to 2**63 - 1", 1)
+    return np.asarray(labels)
+
+
+def _parse_matrix_json(text: str) -> LabeledGraph:
+    return LabeledGraph(_matrix_json_labels(text))
 
 
 def read_directed_graph(path: str | os.PathLike) -> DirectedLabeledGraph:
     """matrix-json reader for possibly asymmetric (converse-equivalent) matrices."""
     with open(path, "r", encoding="ascii") as fh:
-        doc = json.load(fh)
-    return DirectedLabeledGraph(np.asarray(doc["labels"], dtype=np.int64))
+        return DirectedLabeledGraph(_matrix_json_labels(fh.read()))
 
 
 def write_directed_graph(g: DirectedLabeledGraph, path: str | os.PathLike) -> None:

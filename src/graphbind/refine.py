@@ -3,8 +3,10 @@
 Each round replaces every entry of the matrix with a code describing the
 multiset of label pairs (or longer walk label multisets) that the symbolic
 matrix product would place there, then performs an equivalent variable
-substitution.  The reference rounds `sas_step`, `wl_step` and `kpower_step`
-build those multiset codes explicitly.
+substitution.  The graph's type chooses the product: a LabeledGraph is
+squared over unordered label pairs (sas), a DirectedLabeledGraph multiplied
+over ordered ones (wl).  The reference rounds `sas_step`, `wl_step` and
+`kpower_step` build those codes explicitly, the first two in one exact round.
 
 The stabilization loops of `sas_stabilize` and `wl_stabilize` evaluate the
 symbolic product instead, at random points of the prime field GF(`PRIME`):
@@ -14,14 +16,15 @@ values.  Equal multisets always evaluate equal, so an evaluated round can
 only merge classes that the exact round keeps apart (Schwartz-Zippel bounds
 the chance by 2/`PRIME` per point), and it still refines its input.  The
 loop therefore checks its fixpoint exactly, once: every label class must
-have identical sorted pair-code rows.  A best-effort individualization-
-refinement search (`_automorphisms`) first looks for vertex permutations
-that preserve every label, and verifies each one it returns.  Such a
-permutation maps each entry's pair codes onto its image's term by term, so
-an entry that one of them maps to a smaller position need not be checked;
-at least one entry of every orbit still is.  Where a collision hid a split, the
-reference round runs and refinement continues, so the stable graph returned
-is always the exact one, numbered as the reference rounds number it.
+have identical sorted pair-code rows, built as the exact round builds them
+(`_pair_code_builder`).  A best-effort individualization-refinement search
+(`_automorphisms`) first looks for vertex permutations that preserve every
+label, and verifies each one it returns.  Such a permutation maps each
+entry's pair codes onto its image's term by term, so an entry that one of
+them maps to a smaller position need not be checked; at least one entry of
+every orbit still is.  Where a collision hid a split, the reference round
+runs and refinement continues, so the stable graph returned is always the
+exact one, numbered as the reference rounds number it.
 
 The numeric first-come-first-served variant that loses exactness -- it feeds
 numbers, not independent variables, into the next product -- is kept as
@@ -30,6 +33,7 @@ numbers, not independent variables, into the next product -- is kept as
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -111,28 +115,67 @@ def _require_recognizing(g: AnyGraph) -> None:
         raise VertexRecognitionError("input must recognize vertices; seed it first")
 
 
+def _pair_code_builder(g: AnyGraph) -> tuple[Callable, int]:
+    """The builder of the sorted pair-code rows of entries of `g`, and its code size in bytes.
+
+    The builder maps row and column indices u, v (an int and a slice, or two
+    index arrays) to one row per entry (u,v): the codes a * stride + b of the
+    label pairs (a, b) = (g[u][k], g[k][v]) over all k, sorted.  A
+    LabeledGraph is squared, so its pairs are unordered and coded smaller
+    label first; a DirectedLabeledGraph is multiplied in order.  Codes are
+    held in the narrowest unsigned type of 16 bits or more that fits them,
+    which halves sorting and interning time or better.
+    """
+    m = _dense_labels(g.labels)
+    stride = int(m.max()) + 1
+    # Not 8 bits: numpy sorts rows of uint8 about 20 times slower than uint16.
+    m = m.astype(np.promote_types(np.uint16, np.min_scalar_type(stride * stride - 1)))
+    symmetric = isinstance(g, LabeledGraph)
+    columns = m if symmetric else np.ascontiguousarray(m.T)
+
+    def rows(u, v) -> np.ndarray:
+        a, b = m[u], columns[v]
+        if symmetric:
+            a, b = np.minimum(a, b), np.maximum(a, b)
+        codes = a * stride + b
+        codes.sort(axis=1)
+        return codes
+
+    return rows, m.itemsize
+
+
+def _exact_round(g: AnyGraph, kind: type) -> AnyGraph:
+    """One exact round of the `kind` graph `g`: equal pair-code rows, equal labels.
+
+    Labels are 1, 2, ... by first encounter in row-major order, interned one
+    matrix row at a time.  A square is symmetric in u,v, so a LabeledGraph
+    codes only its upper triangle: traversed row-major, it meets every code
+    in the same order as the full matrix would first.
+    """
+    if not isinstance(g, kind):
+        raise GraphError(f"this round takes a {kind.__name__}, not a {type(g).__name__}")
+    _require_recognizing(g)
+    n = g.n
+    symmetric = isinstance(g, LabeledGraph)
+    rows, _ = _pair_code_builder(g)
+    ids: dict[bytes, int] = {}
+    out = np.empty((n, n), dtype=np.int64)
+    for u in range(n):
+        lo = u if symmetric else 0
+        out[u, lo:] = first_encounter_ids((code.tobytes() for code in rows(u, slice(lo, None))), ids)
+        if symmetric:
+            out[u:, u] = out[u, u:]
+    return kind(out)
+
+
 def sas_step(g: LabeledGraph) -> LabeledGraph:
     """One square-and-substitution round.
 
     Entry (u,v) of the symbolic square is the multiset of unordered label
     pairs {g[u][k], g[k][v]} over all k; equal multisets get equal fresh
-    labels.  Only the upper triangle is computed (the multiset is symmetric
-    in u,v); traversing it row-major visits codes in the same order as a
-    full row-major traversal would first meet them.
+    labels.
     """
-    _require_recognizing(g)
-    m = _dense_labels(g.labels)
-    n = g.n
-    stride = int(m.max()) + 1
-    ids: dict[bytes, int] = {}
-    out = np.empty((n, n), dtype=np.int64)
-    for u in range(n):
-        row = m[u]
-        rest = m[u:]
-        pair = np.minimum(row, rest) * stride + np.maximum(row, rest)
-        pair.sort(axis=1)
-        out[u, u:] = out[u:, u] = first_encounter_ids((code.tobytes() for code in pair), ids)
-    return LabeledGraph(out)
+    return _exact_round(g, LabeledGraph)
 
 
 def wl_step(g: DirectedLabeledGraph) -> DirectedLabeledGraph:
@@ -141,18 +184,7 @@ def wl_step(g: DirectedLabeledGraph) -> DirectedLabeledGraph:
     Entry (u,v) is the multiset of ordered pairs (g[u][k], g[k][v]); the
     output may be asymmetric but stays converse equivalent.
     """
-    _require_recognizing(g)
-    m = _dense_labels(g.labels)
-    n = g.n
-    mt = np.ascontiguousarray(m.T)
-    stride = int(m.max()) + 1
-    ids: dict[bytes, int] = {}
-    out = np.empty((n, n), dtype=np.int64)
-    for u in range(n):
-        pair = m[u] * stride + mt
-        pair.sort(axis=1)
-        out[u] = first_encounter_ids((code.tobytes() for code in pair), ids)
-    return DirectedLabeledGraph(out)
+    return _exact_round(g, DirectedLabeledGraph)
 
 
 def kpower_step(g: LabeledGraph, k: int) -> LabeledGraph:
@@ -186,28 +218,30 @@ class StabilizationTrace:
     dims: list[int] = field(default_factory=list)
 
 
-def _evaluated_round(g: AnyGraph, rng: np.random.Generator, *, directed: bool) -> np.ndarray:
-    """One sas (or, if `directed`, wl) round evaluated at random field points.
+def _evaluated_round(g: AnyGraph, rng: np.random.Generator) -> np.ndarray:
+    """One round of `g`'s process evaluated at random field points.
 
-    Entry (u,v) of the symbolic square is sum_k x[g[u][k]] * x[g[k][v]], with
-    one variable per label; the wl product uses independent x and y.  Each
-    point gives one float64 matrix product, exact below 2**53, reduced mod
-    PRIME.  Entries are keyed by their previous label and all evaluations
-    (for wl also the evaluations of the transposed entry, which keeps the
-    output converse equivalent even under collisions) and numbered by first
-    encounter in row-major order.  A sas square is symmetric, so only its
+    Entry (u,v) of the symbolic square of a LabeledGraph is
+    sum_k x[g[u][k]] * x[g[k][v]], with one variable per label; the ordered
+    product of a DirectedLabeledGraph uses independent x and y.  Each point
+    gives one float64 matrix product, exact below 2**53, reduced mod PRIME.
+    Entries are keyed by their previous label and all evaluations (for the
+    ordered product also the evaluations of the transposed entry, which keeps
+    the output converse equivalent even under collisions) and numbered by
+    first encounter in row-major order.  A square is symmetric, so only its
     upper triangle is keyed: row-major, it meets every value where the full
     matrix does.
     """
     m = _dense_labels(g.labels)
     n = g.n
+    directed = isinstance(g, DirectedLabeledGraph)
     upper = None if directed else np.triu(np.ones((n, n), dtype=bool))
     points = rng.integers(0, PRIME, size=(EVALUATIONS, 1 + directed, int(m.max()) + 1))
     values = None
     for x in points.astype(np.float64):
         left = x[0][m]
-        # A sas `left` is symmetric; written as left @ left.T the product
-        # takes BLAS's faster symmetric path.
+        # A symmetric `left` written as left @ left.T takes BLAS's faster
+        # symmetric path.
         product = left @ (x[1][m] if directed else left.T)
         del left
         entries = (product.ravel() if directed else product[upper]).astype(np.int64)
@@ -233,16 +267,6 @@ def _evaluated_round(g: AnyGraph, rng: np.random.Generator, *, directed: bool) -
     out[upper] = ids
     out.T[upper] = ids
     return out
-
-
-def _unordered_pair_codes(rows: np.ndarray, columns: np.ndarray, stride: int) -> np.ndarray:
-    """Codes of the label pairs {rows[i][k], columns[i][k]}, as in `sas_step`."""
-    return np.minimum(rows, columns) * stride + np.maximum(rows, columns)
-
-
-def _ordered_pair_codes(rows: np.ndarray, columns: np.ndarray, stride: int) -> np.ndarray:
-    """Codes of the label pairs (rows[i][k], columns[i][k]), as in `wl_step`."""
-    return rows * stride + columns
 
 
 def _refinement_step(labels: np.ndarray, colours: np.ndarray, x: int, stride: int) -> np.ndarray:
@@ -354,31 +378,28 @@ def _automorphisms(g: AnyGraph) -> list[np.ndarray]:
     return generators
 
 
-def _exactly_stable(g: AnyGraph, pair_codes) -> bool:
+def _exactly_stable(g: AnyGraph) -> bool:
     """True iff the exact round would split no label class of `g`.
 
     Labels are at most n*n, as every round numbers them.  Entries of one
-    class must have equal sorted pair-code rows.  For symmetric graphs the
-    upper triangle suffices, since (u,v) and (v,u) share a code.  For every
-    automorphism pi of `g` that `_automorphisms` returns, entry
-    (pi u, pi v) has the label and, term by term, the pair codes of (u,v);
-    so every entry that some pi maps to a smaller position (after a
-    symmetric image is moved into the upper triangle) is dropped.  The least
-    entry of every orbit of the group they generate stays, so every entry
-    still meets a checked one of its class.  The search runs only where the
-    checked entries of classes with two or more of them fill more than one
-    block.  Those entries are visited class by class, in blocks of about
-    CHECK_BLOCK_BYTES, and each row is compared with the row before it in
-    its class.  A class left with one checked entry needs no check.  Codes
-    are held in the narrowest unsigned type that fits them, which halves the
-    sorting time or better.
+    class must have equal sorted pair-code rows (`_pair_code_builder`).  For
+    symmetric graphs the upper triangle suffices, since (u,v) and (v,u)
+    share a code.  For every automorphism pi of `g` that `_automorphisms`
+    returns, entry (pi u, pi v) has the label and, term by term, the pair
+    codes of (u,v); so every entry that some pi maps to a smaller position
+    (after a symmetric image is moved into the upper triangle) is dropped,
+    in one pass per pi.  The least entry of every orbit of the group they
+    generate stays, so every entry still meets a checked one of its class.
+    The search runs only where the checked entries of classes with two or
+    more of them fill more than one block.  Those entries are visited class
+    by class, in blocks of about CHECK_BLOCK_BYTES, and each row is compared
+    with the row before it in its class.  A class left with one checked
+    entry needs no check.
     """
     n = g.n
-    stride = int(g.labels.max()) + 1
-    m = g.labels.astype(np.min_scalar_type(stride * stride - 1))
     symmetric = isinstance(g, LabeledGraph)
-    columns = m if symmetric else np.ascontiguousarray(m.T)
-    block = max(1, CHECK_BLOCK_BYTES // (m.itemsize * n))
+    rows, itemsize = _pair_code_builder(g)
+    block = max(1, CHECK_BLOCK_BYTES // (itemsize * n))
     counts = np.bincount(g.labels.ravel())
     if symmetric:  # the upper triangle holds each off-diagonal entry once
         counts += np.bincount(g.labels.diagonal(), minlength=counts.size)
@@ -389,21 +410,14 @@ def _exactly_stable(g: AnyGraph, pair_codes) -> bool:
         positions = np.flatnonzero(np.triu(np.ones((n, n), dtype=bool)))
     else:
         positions = np.arange(n * n)
-    if generators:
-        kept = []
-        span = max(1, CHECK_BLOCK_BYTES // 8)  # int64 entries per chunk
-        for lo in range(0, positions.size, span):
-            chunk = positions[lo : lo + span]
-            for pi in generators:
-                u, v = np.divmod(chunk, n)
-                u, v = pi[u], pi[v]
-                if symmetric:
-                    u, v = np.minimum(u, v), np.maximum(u, v)
-                u *= n
-                u += v
-                chunk = chunk[u >= chunk]
-            kept.append(chunk)
-        positions = np.concatenate(kept)
+    for pi in generators:
+        u = pi[positions // n]
+        v = pi[positions % n]
+        if symmetric:  # in place, so that at most four position-sized arrays live
+            u, v = np.minimum(u, v), np.maximum(u, v, out=v)
+        u *= n
+        u += v
+        positions = positions[u >= positions]
     labels = g.labels.ravel()[positions]
     order = np.argsort(labels, kind="stable")
     labels = labels[order]
@@ -417,79 +431,64 @@ def _exactly_stable(g: AnyGraph, pair_codes) -> bool:
     for lo in range(0, order.size, block):
         entries = order[lo : lo + block]
         block_labels = labels[lo : lo + block]
-        rows = pair_codes(m[entries // n], columns[entries % n], stride)
-        rows.sort(axis=1)
-        if block_labels[0] == last_label and not np.array_equal(rows[0], last_row):
+        block_rows = rows(entries // n, entries % n)
+        if block_labels[0] == last_label and not np.array_equal(block_rows[0], last_row):
             return False
         same_class = block_labels[1:] == block_labels[:-1]
-        if ((rows[1:] != rows[:-1]).any(axis=1) & same_class).any():
+        if ((block_rows[1:] != block_rows[:-1]).any(axis=1) & same_class).any():
             return False
-        last_label, last_row = block_labels[-1], rows[-1].copy()
+        last_label, last_row = block_labels[-1], block_rows[-1].copy()
     return True
 
 
-def _stabilize(start: AnyGraph, step, exact_step=None, pair_codes=None) -> StabilizationTrace:
-    """Apply `step` until the dimension stops growing.
+def _stabilize(g: LabeledGraph, kind: type, exact_step=None) -> StabilizationTrace:
+    """Seed `g`, then refine it as a `kind` graph until the dimension stops growing.
 
-    Without `exact_step`, `step` is an exact round.  With it, `step` is an
-    evaluated round, which refines its input but may refine it less than the
-    exact round; at its fixpoint the graph is checked with `pair_codes`, and
-    if the exact round would split a class, `exact_step` takes that round
-    and refinement continues.
+    With `exact_step`, every round is that exact round.  Without it, rounds
+    are evaluated (`_evaluated_round`): they refine their input but may
+    refine it less than the exact round.  So at their fixpoint the graph is
+    checked exactly, and if the exact round would split a class, the
+    reference round of the graph's process (`sas_step` or `wl_step`) takes
+    that round and refinement continues.
     """
-    round_bound = start.n * (start.n + 1) // 2 + 1
-    current = start
+    if exact_step is None and g.n * PRIME**2 >= 2**53:
+        raise GraphError(
+            f"order {g.n} is too large for exact evaluated rounds: "
+            f"need order * {PRIME}**2 < 2**53"
+        )
+    rng = np.random.default_rng(EVALUATION_SEED)
+    seeded = seed_recognize_vertices(g)
+    current = seeded if kind is LabeledGraph else kind(seeded.labels)
+    round_bound = g.n * (g.n + 1) // 2 + 1
     dims = [dim(current)]
     for rounds in range(1, round_bound + 1):
-        refined = step(current)
+        refined = exact_step(current) if exact_step else kind(_evaluated_round(current, rng))
         dims.append(dim(refined))
         if dims[-1] == dims[-2]:
             # Dimension fixpoint implies equivalence; assert it once.
             if not is_equivalent(current, refined):
                 raise AssertionError("dimension fixpoint without equivalence; refinement is broken")
-            if exact_step is None or _exactly_stable(refined, pair_codes):
+            if exact_step or _exactly_stable(refined):
                 return StabilizationTrace(stable=refined, rounds=rounds, dims=dims)
-            refined = exact_step(refined)
+            refined = (sas_step if kind is LabeledGraph else wl_step)(refined)
             dims[-1] = dim(refined)
         current = refined
     raise AssertionError("refinement exceeded its theoretical round bound")
 
 
-def _require_exact_evaluation(g: AnyGraph) -> None:
-    if g.n * PRIME**2 >= 2**53:
-        raise GraphError(
-            f"order {g.n} is too large for exact evaluated rounds: "
-            f"need order * {PRIME}**2 < 2**53"
-        )
-
-
 def sas_stabilize(g: LabeledGraph) -> StabilizationTrace:
     """Seed, then square-and-substitute until the dimension stops growing."""
-    _require_exact_evaluation(g)
-    rng = np.random.default_rng(EVALUATION_SEED)
-    return _stabilize(
-        seed_recognize_vertices(g),
-        lambda x: LabeledGraph(_evaluated_round(x, rng, directed=False)),
-        sas_step,
-        _unordered_pair_codes,
-    )
+    return _stabilize(g, LabeledGraph)
 
 
 def wl_stabilize(g: LabeledGraph) -> StabilizationTrace:
     """Seed, then apply ordered-pair rounds until the dimension stops growing."""
-    _require_exact_evaluation(g)
-    rng = np.random.default_rng(EVALUATION_SEED)
-    return _stabilize(
-        DirectedLabeledGraph(seed_recognize_vertices(g).labels),
-        lambda x: DirectedLabeledGraph(_evaluated_round(x, rng, directed=True)),
-        wl_step,
-        _ordered_pair_codes,
-    )
+    return _stabilize(g, DirectedLabeledGraph)
 
 
 def kpower_stabilize(g: LabeledGraph, k: int) -> StabilizationTrace:
     """Seed, then apply k-power rounds until the dimension stops growing."""
-    return _stabilize(seed_recognize_vertices(g), lambda x: kpower_step(x, k))
+    return _stabilize(g, LabeledGraph, lambda x: kpower_step(x, k))
 
 
 def numeric_ff_stabilize(g: LabeledGraph) -> StabilizationTrace:

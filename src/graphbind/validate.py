@@ -337,10 +337,10 @@ def _check_descgraph_routes(corpus, spec) -> CheckResult:
     for name, g in binary[: spec.scaled(160)]:
         res.cases += 1
         gamma = gamma_description_graph(g)
-        adj = adjoint_description_graph(g, trials=3, seed=spec.seed)
+        adj = adjoint_description_graph(g, seed=spec.seed)
         spectral = spectral_description_graph(g)
         if not is_equivalent(gamma, adj):
-            adj = adjoint_description_graph(g, trials=3, seed=spec.seed + 999)
+            adj = adjoint_description_graph(g, seed=spec.seed + 999)
             if not is_equivalent(gamma, adj):
                 res.record(name, g, "walk and adjugate routes disagree after a re-run")
         if not is_equivalent(gamma, spectral):

@@ -261,10 +261,10 @@ class TestCriterion7ThreeWayEquivalence:
             gamma = gamma_description_graph(g)
             spectral = spectral_description_graph(g, tol=1e-9)
             assert is_equivalent(gamma, spectral), g.labels.tolist()
-            adj = adjoint_description_graph(g, trials=3, seed=checked)
+            adj = adjoint_description_graph(g, seed=checked)
             if not is_equivalent(gamma, adj):
                 # one-sided Monte Carlo: re-run with fresh randomness first
-                adj = adjoint_description_graph(g, trials=3, seed=checked + 10_000_019)
+                adj = adjoint_description_graph(g, seed=checked + 10_000_019)
                 assert is_equivalent(gamma, adj), g.labels.tolist()
             checked += 1
         report(7, True, f"walk, adjugate and spectral routes agree on {checked} graphs (n<=7)")

@@ -142,6 +142,14 @@ class TestGiCommand:
         write_graph(cycle_graph(3), small, "matrix-json")
         assert main(["gi", "--a", a, "--b", str(small)]) == 2
 
+    @pytest.mark.parametrize("labels", ["[[0, 1.9], [1.9, 0]]", "[[0, 1], [1]]"])
+    def test_malformed_labels_exit_two(self, files, tmp_path, capsys, labels):
+        _, a, _ = files
+        bad = tmp_path / "bad.json"
+        bad.write_text(f'{{"n": 2, "labels": {labels}}}')
+        assert main(["gi", "--a", a, "--b", str(bad)]) == 2
+        assert "labels" in capsys.readouterr().err
+
     def test_max_binding_order_defaults_to_library_constant(self):
         args = build_parser().parse_args(["gi", "--a", "a.json", "--b", "b.json"])
         assert args.max_binding_order == DEFAULT_MAX_BINDING_ORDER

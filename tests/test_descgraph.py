@@ -155,18 +155,6 @@ class TestAdjoint:
         g = _labeled(5)
         assert is_equivalent(adjoint_description_graph(g, seed=5), gamma_description_graph(g))
 
-    def test_rejects_small_prime(self):
-        with pytest.raises(GraphError):
-            adjoint_description_graph(path_graph(3), prime=2**31 - 1)
-
-    def test_rejects_composite(self):
-        with pytest.raises(GraphError):
-            adjoint_description_graph(path_graph(3), prime=(1 << 61) + 1)
-
-    def test_rejects_single_trial(self):
-        with pytest.raises(GraphError):
-            adjoint_description_graph(path_graph(3), trials=1)
-
 
 class TestSpectral:
     def test_complete_graph_two_classes(self):

@@ -98,6 +98,41 @@ class TestMatrixJson:
         with pytest.raises(ParseError):
             loads_graph('{"n": 3, "labels": [[0]]}', "matrix-json")
 
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            "[[0, 1.9], [1.9, 0]]",
+            "[[0, 1.0], [1.0, 0]]",
+            "[[0, true], [true, 0]]",
+            '[[0, "1"], ["1", 0]]',
+            "[[0, 1], [1]]",
+            "[[0, 1], 1]",
+            "[0, 1]",
+            '"01"',
+            "[[0, null], [null, 0]]",
+            "[[0, -1], [-1, 0]]",
+            f"[[0, {2**63}], [{2**63}, 0]]",
+        ],
+    )
+    def test_malformed_labels(self, tmp_path, labels):
+        from graphbind.graphio import read_directed_graph
+
+        text = f'{{"n": 2, "labels": {labels}}}'
+        with pytest.raises(ParseError):
+            loads_graph(text, "matrix-json")
+        path = tmp_path / "d.json"
+        path.write_text(text)
+        with pytest.raises(ParseError):
+            read_directed_graph(path)
+
+    def test_directed_reader_needs_labels(self, tmp_path):
+        from graphbind.graphio import read_directed_graph
+
+        path = tmp_path / "d.json"
+        path.write_text('{"n": 2}')
+        with pytest.raises(ParseError):
+            read_directed_graph(path)
+
     def test_unknown_format(self):
         with pytest.raises(GraphError):
             loads_graph("x", "dot")

@@ -39,8 +39,6 @@ from graphbind.refine import (
     VertexRecognitionError,
     _automorphisms,
     _exactly_stable,
-    _ordered_pair_codes,
-    _unordered_pair_codes,
     kpower_step,
     numeric_ff_stabilize,
     recognizes_vertices,
@@ -146,12 +144,9 @@ def stable_iterates(start, step) -> list:
 
 
 def seeded_processes(g: LabeledGraph) -> tuple:
-    """(start, exact round, pair-code builder) of the sas and wl processes on `g`."""
+    """(start, exact round) of the sas and wl processes on `g`."""
     seeded = seed_recognize_vertices(g)
-    return (
-        (seeded, sas_step, _unordered_pair_codes),
-        (DirectedLabeledGraph(seeded.labels), wl_step, _ordered_pair_codes),
-    )
+    return ((seeded, sas_step), (DirectedLabeledGraph(seeded.labels), wl_step))
 
 
 def asymmetric_pair_binding_graph() -> LabeledGraph:
@@ -175,6 +170,22 @@ def symmetric_pair_binding_graphs() -> list[LabeledGraph]:
     petersen = petersen_graph()
     relabeled = permuted(petersen, random_permutation(10, seed=3))
     return [binding_graph(wing_graph(a, b)).graph for a, b in ((k33, prism), (petersen, relabeled))]
+
+
+def binding_graphs_of_yes_and_no_pairs() -> list[LabeledGraph]:
+    """The binding graphs above, and those of random YES and NO pairs of order 3 to 6."""
+    bound_graphs = [asymmetric_pair_binding_graph(), *symmetric_pair_binding_graphs()]
+    for n in range(3, 7):
+        for seed in range(3):
+            a = random_connected_graph(n, 0.5, seed=10 * n + seed)
+            yes = permuted(a, random_permutation(n, seed=seed))
+            no = next(
+                b
+                for b in (random_connected_graph(n, 0.5, seed=1000 + s) for s in range(100))
+                if sorted(b.labels.sum(axis=0)) != sorted(a.labels.sum(axis=0))
+            )
+            bound_graphs += [binding_graph(wing_graph(a, other)).graph for other in (yes, no)]
+    return bound_graphs
 
 
 def numbered(codes: list[list[tuple]]) -> np.ndarray:
@@ -225,6 +236,10 @@ class TestSasStep:
     def test_rejects_non_recognizing(self):
         with pytest.raises(VertexRecognitionError):
             sas_step(path_graph(3))
+
+    def test_rejects_a_directed_graph(self):
+        with pytest.raises(GraphError, match="takes a LabeledGraph"):
+            sas_step(DirectedLabeledGraph(seeded_p3().labels))
 
     def test_p3_vertex_split(self):
         out = sas_step(seeded_p3())
@@ -280,6 +295,10 @@ class TestSasStep:
 
 
 class TestWlStep:
+    def test_rejects_a_symmetric_labeled_graph(self):
+        with pytest.raises(GraphError, match="takes a DirectedLabeledGraph"):
+            wl_step(seeded_p3())
+
     def test_ordered_pairs_differ(self):
         g = DirectedLabeledGraph(np.array([[2, 1], [1, 3]]))
         out = wl_step(g)
@@ -450,18 +469,7 @@ class TestEvaluatedRounds:
             self.assert_identical(wl_stabilize(g), exact_wl(g))
 
     def test_identical_on_binding_graphs_of_yes_and_no_pairs(self):
-        bound_graphs = [asymmetric_pair_binding_graph(), *symmetric_pair_binding_graphs()]
-        for n in range(3, 7):
-            for seed in range(3):
-                a = random_connected_graph(n, 0.5, seed=10 * n + seed)
-                yes = permuted(a, random_permutation(n, seed=seed))
-                no = next(
-                    b
-                    for b in (random_connected_graph(n, 0.5, seed=1000 + s) for s in range(100))
-                    if sorted(b.labels.sum(axis=0)) != sorted(a.labels.sum(axis=0))
-                )
-                bound_graphs += [binding_graph(wing_graph(a, other)).graph for other in (yes, no)]
-        for bound in bound_graphs:
+        for bound in binding_graphs_of_yes_and_no_pairs():
             self.assert_identical(sas_stabilize(bound), exact_sas(bound))
             self.assert_identical(wl_stabilize(bound), exact_wl(bound))
 
@@ -505,12 +513,34 @@ class TestEvaluatedRounds:
             asymmetric_pair_binding_graph(),
             *symmetric_pair_binding_graphs(),
         ):
-            for start, step, codes in seeded_processes(g):
+            for start, step in seeded_processes(g):
                 iterates = stable_iterates(start, step)
                 assert len(iterates) >= 3
-                assert not _exactly_stable(iterates[-3], codes)
-                assert _exactly_stable(iterates[-2], codes)
-        assert _exactly_stable(as_graph(reference["g21_stable"]), _unordered_pair_codes)
+                assert not _exactly_stable(iterates[-3])
+                assert _exactly_stable(iterates[-2])
+        assert _exactly_stable(as_graph(reference["g21_stable"]))
+
+    @staticmethod
+    def assert_check_agrees_with_the_round(graphs):
+        """On every exact-round iterate of sas and of wl, the check is true
+        iff the next round keeps the dimension."""
+        for g in graphs:
+            for start, step in seeded_processes(g):
+                iterates = stable_iterates(start, step)
+                for current, refined in zip(iterates, iterates[1:]):
+                    assert _exactly_stable(current) == (dim(refined) == dim(current))
+
+    @pytest.mark.parametrize("block_bytes", [None, 1])
+    def test_check_agrees_with_the_round_on_the_quick_corpus(self, monkeypatch, block_bytes):
+        import graphbind.refine as refine
+        from graphbind.validate import CorpusSpec, build_corpus
+
+        if block_bytes is not None:
+            monkeypatch.setattr(refine, "CHECK_BLOCK_BYTES", block_bytes)
+        self.assert_check_agrees_with_the_round(g for _, g in build_corpus(CorpusSpec(quick=True)))
+
+    def test_check_agrees_with_the_round_on_binding_graphs(self):
+        self.assert_check_agrees_with_the_round(binding_graphs_of_yes_and_no_pairs())
 
     def test_exactness_bound_raises_before_any_work(self, monkeypatch):
         import graphbind.refine as refine
@@ -590,12 +620,9 @@ class TestAutomorphismSearch:
         m = np.array([[3, 1, 2], [1, 4, 0], [2, 0, 4]])
         for block_bytes in (refine.CHECK_BLOCK_BYTES, 1):
             monkeypatch.setattr(refine, "CHECK_BLOCK_BYTES", block_bytes)
-            for graph, codes in (
-                (LabeledGraph(m), _unordered_pair_codes),
-                (DirectedLabeledGraph(m), _ordered_pair_codes),
-            ):
+            for graph in (LabeledGraph(m), DirectedLabeledGraph(m)):
                 assert _automorphisms(graph) == []
-                assert not _exactly_stable(graph, codes)
+                assert not _exactly_stable(graph)
 
     def test_leaf_is_verified_beyond_the_individualized_rows(self):
         # Individualizing 0 or 1 makes every colour a singleton, and the two
@@ -634,9 +661,9 @@ class TestAutomorphismSearch:
         for pi in _automorphisms(g):
             assert np.array_equal(g.labels[np.ix_(pi, pi)], g.labels)
         assert 0 < len(individualized) <= g.n
-        assert _exactly_stable(g, _unordered_pair_codes)
+        assert _exactly_stable(g)
         monkeypatch.setattr(refine, "_automorphisms", lambda graph: [])
-        assert _exactly_stable(g, _unordered_pair_codes)
+        assert _exactly_stable(g)
 
     def test_decisions_identical_without_the_search(self, monkeypatch):
         import graphbind.refine as refine

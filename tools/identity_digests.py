@@ -1,0 +1,102 @@
+"""Digests of every stabilization graphbind makes on a fixed set of inputs.
+
+    python3 tools/identity_digests.py SRC
+
+SRC is the `src/` directory of any checkout; graphbind is imported from
+there and from nowhere else, so the same script runs against two trees.  The
+benchmark inputs come from `gibench/workloads.py` next to this script.
+
+Every call to `sas_stabilize`, `wl_stabilize` and `kpower_stabilize` is
+caught in every graphbind module that binds them, the way the benchmark's
+tracing catches its layers, and recorded as [sha256 of the stable labels,
+rounds, dims].  One line per input group prints the number of calls and a
+sha256 over their records in call order.  Two trees that print the same
+lines stabilize every input identically, label for label.
+
+Groups: the audit's quick corpus (kpower with k = 3 for order <= 8 only),
+one `audit` op, `decide-random` ops 1-2 at seeds 7 and 8, and `decide-srg`
+op 1 at seeds 7 and 8.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import sys
+from pathlib import Path
+
+# Single-threaded BLAS, as in the benchmark, set before numpy is imported.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+# Importing the benchmark's modules leaves no bytecode cache in its directory.
+sys.dont_write_bytecode = True
+
+GIBENCH = Path(__file__).resolve().parent.parent / "gibench"
+STABILIZERS = ("sas_stabilize", "wl_stabilize", "kpower_stabilize")
+KPOWER_MAX_ORDER = 8
+
+
+def import_graphbind(src: Path):
+    """graphbind from `src`, then the benchmark's workloads and tracing."""
+    sys.path.insert(0, str(src))
+    import graphbind
+
+    if Path(graphbind.__file__).resolve().parent != src / "graphbind":
+        raise SystemExit(f"imported graphbind from {graphbind.__file__}, not {src}")
+    sys.path.insert(1, str(GIBENCH))
+    import tracing
+    import workloads
+
+    return tracing, workloads
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("src", type=Path, help="src/ directory holding graphbind")
+    args = parser.parse_args(argv)
+    tracing, workloads = import_graphbind(args.src.resolve())
+    from graphbind import refine
+    from graphbind.validate import CorpusSpec, build_corpus, validate_suite
+
+    records: list = []
+
+    def recorder(layer, fn):
+        def recorded(*call_args, **kwargs):
+            trace = fn(*call_args, **kwargs)
+            labels = hashlib.sha256(trace.stable.labels.tobytes()).hexdigest()
+            records.append([labels, trace.rounds, list(trace.dims)])
+            return trace
+
+        return recorded
+
+    def corpus():
+        for _, g in build_corpus(CorpusSpec(quick=True)):
+            refine.sas_stabilize(g)
+            refine.wl_stabilize(g)
+            if g.n <= KPOWER_MAX_ORDER:
+                refine.kpower_stabilize(g, 3)
+
+    def decide(workload, seed: int, op: int):
+        w = workloads.WORKLOADS[workload](seed)
+        return lambda: w.run(w.inputs(op))
+
+    groups = [("corpus", corpus), ("audit", lambda: validate_suite(CorpusSpec(quick=True)))]
+    for seed in (7, 8):
+        groups += [(f"decide-random seed {seed} op {op}", decide("decide-random", seed, op)) for op in (1, 2)]
+    for seed in (7, 8):
+        groups.append((f"decide-srg seed {seed} op 1", decide("decide-srg", seed, 1)))
+
+    layers = [(name, "graphbind.refine", name, None) for name in STABILIZERS]
+    with tracing.rebound(recorder, layers):
+        for name, run in groups:
+            records.clear()
+            run()
+            digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
+            print(f"{name:28s} calls={len(records):<5d} sha256={digest}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
