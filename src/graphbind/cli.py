@@ -100,6 +100,8 @@ def cmd_derived(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    if args.action == "iso" and args.infile2 is None:
+        raise GraphError("oracle iso needs a second graph, --in2")
     g = _read(args.infile, args.format)
     if args.action == "orbits":
         orbits = automorphism_orbits(g, prune=not args.no_prune, max_n=args.max_n)
@@ -205,7 +207,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except GraphError as exc:
+    except (GraphError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

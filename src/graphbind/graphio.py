@@ -28,10 +28,18 @@ class ParseError(GraphError):
         self.column = column
 
 
+def _read_ascii(path: str | os.PathLike) -> str:
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        lines = data[: exc.start].split(b"\n")
+        raise ParseError("not an ASCII byte", len(lines), len(lines[-1]) + 1) from None
+
+
 def read_graph(path: str | os.PathLike, format: Format) -> LabeledGraph:
-    with open(path, "r", encoding="ascii") as fh:
-        text = fh.read()
-    return loads_graph(text, format)
+    return loads_graph(_read_ascii(path), format)
 
 
 def write_graph(g: LabeledGraph, path: str | os.PathLike, format: Format) -> None:
@@ -151,7 +159,11 @@ def _parse_edgelist(text: str) -> LabeledGraph:
         raise ParseError("first line must be the vertex count", first_no) from None
     if n < 1:
         raise ParseError("vertex count must be at least 1", first_no)
-    out = np.zeros((n, n), dtype=np.int64)
+    try:
+        out = np.zeros((n, n), dtype=np.int64)
+    except (MemoryError, ValueError):
+        # numpy refuses a matrix larger than memory or than its index range.
+        raise ParseError(f"vertex count {n} is too large", first_no) from None
     for line_no, line in meaningful[1:]:
         parts = line.split()
         if len(parts) != 2:
@@ -212,8 +224,7 @@ def _parse_matrix_json(text: str) -> LabeledGraph:
 
 def read_directed_graph(path: str | os.PathLike) -> DirectedLabeledGraph:
     """matrix-json reader for possibly asymmetric (converse-equivalent) matrices."""
-    with open(path, "r", encoding="ascii") as fh:
-        return DirectedLabeledGraph(_matrix_json_labels(fh.read()))
+    return DirectedLabeledGraph(_matrix_json_labels(_read_ascii(path)))
 
 
 def write_directed_graph(g: DirectedLabeledGraph, path: str | os.PathLike) -> None:

@@ -1,7 +1,11 @@
 """Audit suite: run the library's claimed invariants over a graph corpus.
 
-Each check returns the concrete violating instances rather than asserting,
-so a broken claim surfaces as reproducible data.  The suite exercises both
+A claim is a public function over one graph (binding_completeness: over a
+pair), and the random draw it needs, that returns its violation details
+there; an empty list means the claim holds.  A check runs one claim on a
+selection of corpus graphs and returns the violating instances rather than
+asserting, so a broken claim surfaces as reproducible data.  The acceptance
+tests call the same claims on their own corpora.  The suite audits both
 implementation invariants and the claims imported from the underlying
 theory; a violation of the latter is exactly the kind of counterexample the
 toolkit exists to hunt for.
@@ -56,23 +60,26 @@ from .refine import (
 )
 
 
+RANDOM_COUNT = 200
+
+
 @dataclass
 class CorpusSpec:
     """What the audit runs on: exhaustive small orders, random samples, named graphs.
 
     The corpus lists every graph of order <= 5 (<= 4 when quick) first, then
-    the random samples of order 2..12, then the named graphs.  Checks that
-    take at most `limit` graphs take the first ones, so they only ever see
-    exhaustive small graphs.  Quick mode: refinement_chain,
-    stable_fixpoint_and_recognition, relabeling_equivariance and
-    orbit_coarsening reach order 3; dim_monotone_under_imbedding, both
-    square_vs_ordered_pair checks and partition_properties reach order 4.
-    Full mode: stable_fixpoint_and_recognition and relabeling_equivariance
-    reach order 4, the other limited checks order 5.
+    RANDOM_COUNT random samples of order 2..12 (20 when quick) drawn from
+    `seed`, then the named graphs.  Checks that take at most `limit` graphs
+    take the first ones, so they only ever see exhaustive small graphs.
+    Quick mode: refinement_chain, stable_fixpoint_and_recognition,
+    relabeling_equivariance and orbit_coarsening reach order 3;
+    dim_monotone_under_imbedding, both square_vs_ordered_pair checks and
+    partition_properties reach order 4.  Full mode:
+    stable_fixpoint_and_recognition and relabeling_equivariance reach order
+    4, the other limited checks order 5.
     """
 
     seed: int = 20240901
-    random_count: int = 200
     quick: bool = False
 
     def scaled(self, count: int) -> int:
@@ -85,7 +92,7 @@ def build_corpus(spec: CorpusSpec) -> list[tuple[str, LabeledGraph]]:
     for n in range(1, (4 if spec.quick else 5) + 1):
         for k, g in enumerate(all_graphs(n)):
             out.append((f"all/n{n}/{k}", g))
-    for k in range(spec.scaled(spec.random_count)):
+    for k in range(spec.scaled(RANDOM_COUNT)):
         n = int(rng.integers(2, 13))
         p = float(rng.uniform(0.2, 0.8))
         out.append((f"random/{k}", random_graph(n, p, seed=int(rng.integers(2**32)))))
@@ -123,169 +130,94 @@ def _graphs_up_to(corpus, max_n, *, connected=False, limit=None):
     return picked
 
 
-# ---------------------------------------------------------------------------
-# Definitional helpers reused by the acceptance tests.
+def _run(selection, claim) -> CheckResult:
+    """One case per selected (name, graph, *rest); claim(graph, *rest) gives its violations."""
+    res = CheckResult()
+    for name, *args in selection:
+        res.cases += 1
+        for detail in claim(*args):
+            res.record(name, args[0], detail)
+    return res
 
-def stable_recognizes_edges(g: LabeledGraph, stable: LabeledGraph) -> bool:
-    """Labels of the stable graph over edges of g never occur over blanks."""
+
+# ---------------------------------------------------------------------------
+# The claims.
+
+def substitution_roundtrip(g: LabeledGraph) -> list[str]:
+    """Substitution is equivalent to its input, idempotent, and blind to how labels are coded."""
+    details = []
+    again = equivalent_variable_substitution(g.labels)
+    twice = equivalent_variable_substitution(again.labels)
+    if not is_equivalent(g, again):
+        details.append("substitution is not equivalent to its input")
+    if not np.array_equal(again.labels, twice.labels):
+        details.append("substitution is not idempotent on normalized input")
+    coded = [[("c", int(g.labels[i, j])) for j in range(g.n)] for i in range(g.n)]
+    if not np.array_equal(equivalent_variable_substitution(coded).labels, again.labels):
+        details.append("object-coded and integer substitution disagree")
+    return details
+
+
+def dim_monotone_under_imbedding(g: LabeledGraph, rng: np.random.Generator) -> list[str]:
+    """Merging two labels of g, drawn from rng, gives a graph imbedded in g of no larger dim."""
+    labels = np.unique(g.labels)
+    if labels.size < 2:
+        return []
+    details = []
+    a, b = rng.choice(labels, size=2, replace=False)
+    merged = LabeledGraph(np.where(g.labels == a, int(b), g.labels))
+    if not is_imbedded(merged, g):
+        details.append("label merge must be imbedded in the original")
+    if dim(merged) > dim(g):
+        details.append("dim must not grow under imbedding")
+    return details
+
+
+def refinement_chain(g: LabeledGraph) -> list[str]:
+    """The seed refines g, and each of three square rounds refines and recognizes vertices."""
+    details = []
+    current = seed_recognize_vertices(g)
+    if not is_imbedded(g, current):
+        details.append("seed must refine the input")
+    for _ in range(3):
+        nxt = sas_step(current)
+        if not recognizes_vertices(nxt):
+            details.append("a refined graph stopped recognizing vertices")
+            break
+        if not is_imbedded(current, nxt):
+            details.append("round output must refine its input")
+            break
+        current = nxt
+    return details
+
+
+def stable_fixpoint_and_recognition(g: LabeledGraph) -> list[str]:
+    """The stable graph of g is a fixpoint of the square round (and, up to
+    order 8, of the cube round) and recognizes vertices and g's edges."""
+    details = []
+    stable = sas_stabilize(g).stable
+    if not is_equivalent(stable, sas_step(stable)):
+        details.append("stable graph is not a fixpoint of the square round")
+    if g.n <= 8 and not is_equivalent(stable, kpower_step(stable, 3)):
+        details.append("stable graph is not a fixpoint of the cube round")
+    if not recognizes_vertices(stable):
+        details.append("stable graph does not recognize vertices")
+    # Labels of the stable graph over edges of g never occur over blanks.
     off = ~np.eye(g.n, dtype=bool)
     edge_labels = set(stable.labels[(g.labels != 0) & off].tolist())
     blank_labels = set(stable.labels[(g.labels == 0) & off].tolist())
-    return not edge_labels & blank_labels
+    if edge_labels & blank_labels:
+        details.append("stable graph does not recognize the input's edges")
+    return details
 
 
-def binding_edge_recognition_ok(b, stable: LabeledGraph) -> bool:
-    """Binding edges that bind basic edges never share stable labels with
-    binding edges that bind blank basic pairs."""
-    basic = b.graph.labels[: b.basic_n, : b.basic_n]
-    on_edge, on_blank = set(), set()
-    for (u, v), p in b.binder.items():
-        labels = {int(stable.labels[p, u]), int(stable.labels[p, v])}
-        (on_edge if basic[u, v] != 0 else on_blank).update(labels)
-    return not on_edge & on_blank
+def square_vs_ordered_pair_vertices(g: LabeledGraph) -> list[str]:
+    """The square and the ordered-pair process split the vertices of g alike."""
+    same = vertex_partition(sas_stabilize(g).stable) == vertex_partition(wl_stabilize(g).stable)
+    return [] if same else ["square and ordered-pair rounds split vertices differently"]
 
 
-def basic_binding_separation_ok(b, stable: LabeledGraph) -> bool:
-    diag = stable.labels.diagonal()
-    return not set(diag[: b.basic_n].tolist()) & set(diag[b.basic_n :].tolist())
-
-
-def bv_correspondence_ok(b, stable: LabeledGraph) -> bool:
-    """Diagonal labels of binding vertices classify pairs exactly as the
-    off-diagonal labels of their bound basic pairs."""
-    m = stable.labels
-    pairs = list(b.binder.items())
-    for i, ((u, v), p) in enumerate(pairs):
-        for (r, s), q in pairs[i + 1 :]:
-            if (m[u, v] == m[r, s]) != (m[p, p] == m[q, q]):
-                return False
-    return True
-
-
-def wl_from_sas_ok(b, stable: LabeledGraph, wl_stable) -> bool:
-    """Ordered binding-edge label pairs in the stable graph classify basic
-    pairs exactly as the ordered-pair stable graph labels them."""
-    m = stable.labels
-    x = wl_stable.labels
-    pairs = list(b.binder.items())
-    for i, ((u, v), p) in enumerate(pairs):
-        for (r, s), q in pairs[i:]:
-            same_wl = x[u, v] == x[r, s]
-            same_bind = m[u, p] == m[r, q] and m[v, p] == m[s, q]
-            if same_wl != same_bind:
-                return False
-            # Symmetry of the ordered label is the binding-edge equality.
-            if (x[u, v] == x[v, u]) != (m[u, p] == m[v, p]):
-                return False
-    return True
-
-
-def singleton_cell_rule_ok(stable: LabeledGraph) -> bool:
-    part = vertex_partition(stable)
-    for cell in part.cells:
-        if len(cell) != 1:
-            continue
-        u = cell[0]
-        for other in part.cells:
-            if len(set(stable.labels[u, list(other)].tolist())) != 1:
-                return False
-    return True
-
-
-def row_equality_rule_ok(stable: LabeledGraph) -> bool:
-    m = stable.labels
-    diag = m.diagonal()
-    rows = np.sort(m, axis=1)
-    for u in range(stable.n):
-        for v in range(u + 1, stable.n):
-            if (diag[u] == diag[v]) != bool((rows[u] == rows[v]).all()):
-                return False
-    return True
-
-
-# ---------------------------------------------------------------------------
-# The checks.
-
-def _check_substitution(corpus, spec) -> CheckResult:
-    res = CheckResult()
-    for name, g in corpus:
-        res.cases += 1
-        again = equivalent_variable_substitution(g.labels)
-        twice = equivalent_variable_substitution(again.labels)
-        if not is_equivalent(g, again):
-            res.record(name, g, "substitution is not equivalent to its input")
-        if not np.array_equal(again.labels, twice.labels):
-            res.record(name, g, "substitution is not idempotent on normalized input")
-        coded = [[("c", int(g.labels[i, j])) for j in range(g.n)] for i in range(g.n)]
-        if not np.array_equal(equivalent_variable_substitution(coded).labels, again.labels):
-            res.record(name, g, "object-coded and integer substitution disagree")
-    return res
-
-
-def _check_dim_monotone(corpus, spec) -> CheckResult:
-    res = CheckResult()
-    rng = np.random.default_rng(spec.seed + 1)
-    for name, g in _graphs_up_to(corpus, 12, limit=spec.scaled(120)):
-        res.cases += 1
-        labels = np.unique(g.labels)
-        if labels.size < 2:
-            continue
-        a, b = rng.choice(labels, size=2, replace=False)
-        merged = LabeledGraph(np.where(g.labels == a, int(b), g.labels))
-        if not is_imbedded(merged, g):
-            res.record(name, g, "label merge must be imbedded in the original")
-        if dim(merged) > dim(g):
-            res.record(name, g, "dim must not grow under imbedding")
-    return res
-
-
-def _check_refinement_chain(corpus, spec) -> CheckResult:
-    res = CheckResult()
-    for name, g in _graphs_up_to(corpus, 12, limit=spec.scaled(80)):
-        res.cases += 1
-        current = seed_recognize_vertices(g)
-        if not is_imbedded(g, current):
-            res.record(name, g, "seed must refine the input")
-        for _ in range(3):
-            nxt = sas_step(current)
-            if not recognizes_vertices(nxt):
-                res.record(name, g, "a refined graph stopped recognizing vertices")
-                break
-            if not is_imbedded(current, nxt):
-                res.record(name, g, "round output must refine its input")
-                break
-            current = nxt
-    return res
-
-
-def _check_stable_fixpoint(corpus, spec) -> CheckResult:
-    res = CheckResult()
-    for name, g in _graphs_up_to(corpus, 10, limit=spec.scaled(60)):
-        res.cases += 1
-        stable = sas_stabilize(g).stable
-        if not is_equivalent(stable, sas_step(stable)):
-            res.record(name, g, "stable graph is not a fixpoint of the square round")
-        if g.n <= 8 and not is_equivalent(stable, kpower_step(stable, 3)):
-            res.record(name, g, "stable graph is not a fixpoint of the cube round")
-        if not recognizes_vertices(stable):
-            res.record(name, g, "stable graph does not recognize vertices")
-        if not stable_recognizes_edges(g, stable):
-            res.record(name, g, "stable graph does not recognize the input's edges")
-    return res
-
-
-def _check_sas_wl_partitions(corpus, spec) -> CheckResult:
-    res = CheckResult()
-    for name, g in _graphs_up_to(corpus, 30, limit=spec.scaled(300)):
-        res.cases += 1
-        s = sas_stabilize(g)
-        w = wl_stabilize(g)
-        if vertex_partition(s.stable) != vertex_partition(w.stable):
-            res.record(name, g, "square and ordered-pair rounds split vertices differently")
-    return res
-
-
-def _check_sas_wl_round_counts(corpus, spec) -> CheckResult:
+def square_vs_ordered_pair_round_counts(g: LabeledGraph) -> list[str]:
     """Equal full-stabilization round counts for the two processes.
 
     This claim has genuine counterexamples (small sparse graphs where the
@@ -293,155 +225,204 @@ def _check_sas_wl_round_counts(corpus, spec) -> CheckResult:
     round earlier); the check exists to surface them as findings, with the
     vertex-level agreement covered by the partition check.
     """
-    res = CheckResult()
-    for name, g in _graphs_up_to(corpus, 30, limit=spec.scaled(300)):
-        res.cases += 1
-        s = sas_stabilize(g)
-        w = wl_stabilize(g)
-        if s.rounds != w.rounds:
-            res.record(name, g, f"round counts differ: {s.rounds} vs {w.rounds}")
-    return res
+    s = sas_stabilize(g)
+    w = wl_stabilize(g)
+    return [] if s.rounds == w.rounds else [f"round counts differ: {s.rounds} vs {w.rounds}"]
+
+
+def relabeling_equivariance(g: LabeledGraph, rng: np.random.Generator) -> list[str]:
+    """Stabilizing g relabeled by a permutation drawn from rng relabels its stable graph."""
+    sigma = random_permutation(g.n, seed=int(rng.integers(2**32)))
+    lhs = sas_stabilize(permuted(g, sigma)).stable
+    rhs = permuted(sas_stabilize(g).stable, sigma)
+    same = is_equivalent(lhs, rhs)
+    return [] if same else ["stabilization does not commute with relabeling vertices"]
+
+
+def orbit_coarsening(g: LabeledGraph) -> list[str]:
+    """Every automorphism orbit of g lies inside one stable cell."""
+    orbits = automorphism_orbits(g, prune=False)
+    cells = vertex_partition(sas_stabilize(g).stable)
+    return [] if orbits.refines(cells) else ["an automorphism orbit crosses a stable cell"]
+
+
+def description_routes(g: LabeledGraph, seed: int) -> list[str]:
+    """The walk, adjugate and spectral routes give one description graph of the 0/1 graph
+    g, between g and its stable graph, that recognizes vertices.  The adjugate route is
+    one-sided Monte Carlo: it runs at `seed` and after a disagreement at `seed + 999`."""
+    details = []
+    gamma = gamma_description_graph(g)
+    adj = adjoint_description_graph(g, seed=seed)
+    spectral = spectral_description_graph(g)
+    if not is_equivalent(gamma, adj):
+        adj = adjoint_description_graph(g, seed=seed + 999)
+        if not is_equivalent(gamma, adj):
+            details.append("walk and adjugate routes disagree after a re-run")
+    if not is_equivalent(gamma, spectral):
+        details.append("walk and spectral routes disagree")
+    stable = sas_stabilize(g).stable
+    if not (is_imbedded(g, gamma) and is_imbedded(gamma, stable)):
+        details.append("input-description-stable chain broken")
+    diag = set(gamma.labels.diagonal().tolist())
+    off = set(gamma.labels[~np.eye(g.n, dtype=bool)].tolist()) if g.n > 1 else set()
+    if diag & off:
+        details.append("description graph fails to recognize vertices")
+    return details
+
+
+def strongly_regular_one_round(g: LabeledGraph) -> list[str]:
+    """The strongly regular graph g is stable one round after the seed, as one description round."""
+    details = []
+    trace = sas_stabilize(g)
+    if trace.rounds != 1:
+        details.append(f"expected 1 post-seed round, got {trace.rounds}")
+    if not is_equivalent(gamma_description_graph(g), trace.stable):
+        details.append("one description round should already be stable")
+    return details
+
+
+def partition_properties(g: LabeledGraph) -> list[str]:
+    """The stable partition of g is (strongly) equitable, a singleton cell
+    sees one label per cell, and diagonal labels match exactly when rows do."""
+    details = []
+    stable = sas_stabilize(g).stable
+    part = vertex_partition(stable)
+    m = stable.labels
+    if not is_equitable(stable, part):
+        details.append("stable partition is not equitable")
+    if not is_strongly_equitable(stable, part):
+        details.append("stable partition is not strongly equitable")
+    singletons = [cell[0] for cell in part.cells if len(cell) == 1]
+    if any(len(set(m[u, list(other)].tolist())) != 1 for u in singletons for other in part.cells):
+        details.append("singleton cells must see constant labels per cell")
+    diag = m.diagonal()
+    rows = np.sort(m, axis=1)
+    if any(
+        (diag[u] == diag[v]) != bool((rows[u] == rows[v]).all())
+        for u in range(g.n)
+        for v in range(u + 1, g.n)
+    ):
+        details.append("diagonal labels must match exactly when rows match")
+    return details
+
+
+def binding_lemmas(g: LabeledGraph) -> list[str]:
+    """The label lemmas of the stable binding graph of the connected simple graph g."""
+    details = []
+    b = binding_graph(g)
+    m = sas_stabilize(b.graph).stable.labels
+    x = wl_stabilize(b.graph).stable.labels
+    pairs = list(b.binder.items())
+    # Binding edges that bind basic edges never share stable labels with
+    # binding edges that bind blank basic pairs.
+    on_edge, on_blank = set(), set()
+    for (u, v), p in pairs:
+        (on_edge if b.graph.labels[u, v] != 0 else on_blank).update({int(m[p, u]), int(m[p, v])})
+    if on_edge & on_blank:
+        details.append("binding edges fail to witness basic (non-)edges")
+    diag = m.diagonal()
+    if set(diag[: b.basic_n].tolist()) & set(diag[b.basic_n :].tolist()):
+        details.append("basic and binding vertices share a stable label")
+    # Diagonal labels of binding vertices classify pairs exactly as the
+    # off-diagonal labels of their bound basic pairs.
+    if any(
+        (m[u, v] == m[r, s]) != (m[p, p] == m[q, q])
+        for i, ((u, v), p) in enumerate(pairs)
+        for (r, s), q in pairs[i + 1 :]
+    ):
+        details.append("binding-vertex labels disagree with basic pair labels")
+    # Ordered binding-edge label pairs classify basic pairs exactly as the
+    # ordered-pair stable graph labels them, and symmetry of the ordered
+    # label is the binding-edge equality.
+    if any(
+        (x[u, v] == x[r, s]) != (m[u, p] == m[r, q] and m[v, p] == m[s, q])
+        for i, ((u, v), p) in enumerate(pairs)
+        for (r, s), q in pairs[i:]
+    ) or any((x[u, v] == x[v, u]) != (m[u, p] == m[v, p]) for (u, v), p in pairs):
+        details.append("binding-edge labels disagree with the ordered-pair labels")
+    return details
+
+
+def binding_completeness(a: LabeledGraph, b: LabeledGraph) -> list[str]:
+    """Binding keeps the isomorphism verdict of the pair a, b."""
+    plain = is_isomorphic_bruteforce(a, b) is not None
+    bound = is_isomorphic_bruteforce(binding_graph(a).graph, binding_graph(b).graph) is not None
+    return [] if plain == bound else ["binding changed the isomorphism verdict"]
+
+
+def binding_orbits(g: LabeledGraph) -> list[str]:
+    """The automorphism orbits of g's binding graph restrict to g's own orbits."""
+    b = binding_graph(g)
+    basic_orbits = [
+        tuple(v for v in cell if v < g.n)
+        for cell in automorphism_orbits(b.graph, max_n=b.n1).cells
+        if any(v < g.n for v in cell)
+    ]
+    same = sorted(basic_orbits) == sorted(automorphism_orbits(g).cells)
+    return [] if same else ["basic orbits of the binding graph differ from the graph's"]
+
+
+# ---------------------------------------------------------------------------
+# The checks: which corpus graphs each claim runs on.
+
+def _limited(max_n, count, claim):
+    """The check of claim on the first spec.scaled(count) corpus graphs of order <= max_n."""
+    return lambda corpus, spec: _run(_graphs_up_to(corpus, max_n, limit=spec.scaled(count)), claim)
+
+
+def _check_substitution(corpus, spec) -> CheckResult:
+    return _run(corpus, substitution_roundtrip)
+
+
+def _check_dim_monotone(corpus, spec) -> CheckResult:
+    rng = np.random.default_rng(spec.seed + 1)
+    selection = _graphs_up_to(corpus, 12, limit=spec.scaled(120))
+    return _run(selection, lambda g: dim_monotone_under_imbedding(g, rng))
 
 
 def _check_equivariance(corpus, spec) -> CheckResult:
-    res = CheckResult()
     rng = np.random.default_rng(spec.seed + 2)
-    for name, g in _graphs_up_to(corpus, 12, limit=spec.scaled(60)):
-        res.cases += 1
-        sigma = random_permutation(g.n, seed=int(rng.integers(2**32)))
-        lhs = sas_stabilize(permuted(g, sigma)).stable
-        rhs = permuted(sas_stabilize(g).stable, sigma)
-        if not is_equivalent(lhs, rhs):
-            res.record(name, g, "stabilization does not commute with relabeling vertices")
-    return res
-
-
-def _check_orbit_coarsening(corpus, spec) -> CheckResult:
-    res = CheckResult()
-    for name, g in _graphs_up_to(corpus, 8, limit=spec.scaled(80)):
-        res.cases += 1
-        orbits = automorphism_orbits(g, prune=False)
-        cells = vertex_partition(sas_stabilize(g).stable)
-        if not orbits.refines(cells):
-            res.record(name, g, "an automorphism orbit crosses a stable cell")
-    return res
+    selection = _graphs_up_to(corpus, 12, limit=spec.scaled(60))
+    return _run(selection, lambda g: relabeling_equivariance(g, rng))
 
 
 def _check_descgraph_routes(corpus, spec) -> CheckResult:
-    res = CheckResult()
     binary = [
         (name, g)
         for name, g in _graphs_up_to(corpus, 8)
         if set(np.unique(g.labels).tolist()) <= {0, 1}
     ]
-    for name, g in binary[: spec.scaled(160)]:
-        res.cases += 1
-        gamma = gamma_description_graph(g)
-        adj = adjoint_description_graph(g, seed=spec.seed)
-        spectral = spectral_description_graph(g)
-        if not is_equivalent(gamma, adj):
-            adj = adjoint_description_graph(g, seed=spec.seed + 999)
-            if not is_equivalent(gamma, adj):
-                res.record(name, g, "walk and adjugate routes disagree after a re-run")
-        if not is_equivalent(gamma, spectral):
-            res.record(name, g, "walk and spectral routes disagree")
-        stable = sas_stabilize(g).stable
-        if not (is_imbedded(g, gamma) and is_imbedded(gamma, stable)):
-            res.record(name, g, "input-description-stable chain broken")
-        diag = set(gamma.labels.diagonal().tolist())
-        off = set(gamma.labels[~np.eye(g.n, dtype=bool)].tolist()) if g.n > 1 else set()
-        if diag & off:
-            res.record(name, g, "description graph fails to recognize vertices")
-    return res
+    return _run(binary[: spec.scaled(160)], lambda g: description_routes(g, spec.seed))
 
 
 def _check_strongly_regular_one_round(corpus, spec) -> CheckResult:
-    res = CheckResult()
-    for name in ("named/petersen", "named/shrikhande", "named/rook4x4"):
-        g = dict(corpus)[name]
-        res.cases += 1
-        trace = sas_stabilize(g)
-        if trace.rounds != 1:
-            res.record(name, g, f"expected 1 post-seed round, got {trace.rounds}")
-        if not is_equivalent(gamma_description_graph(g), trace.stable):
-            res.record(name, g, "one description round should already be stable")
-    return res
+    named = dict(corpus)
+    selection = [
+        (name, named[name]) for name in ("named/petersen", "named/shrikhande", "named/rook4x4")
+    ]
+    return _run(selection, strongly_regular_one_round)
 
 
-def _check_partition_properties(corpus, spec) -> CheckResult:
-    res = CheckResult()
-    for name, g in _graphs_up_to(corpus, 14, limit=spec.scaled(120)):
-        res.cases += 1
-        stable = sas_stabilize(g).stable
-        part = vertex_partition(stable)
-        if not is_equitable(stable, part):
-            res.record(name, g, "stable partition is not equitable")
-        if not is_strongly_equitable(stable, part):
-            res.record(name, g, "stable partition is not strongly equitable")
-        if not singleton_cell_rule_ok(stable):
-            res.record(name, g, "singleton cells must see constant labels per cell")
-        if not row_equality_rule_ok(stable):
-            res.record(name, g, "diagonal labels must match exactly when rows match")
-    return res
+def _connected_simple_up_to(corpus, max_n):
+    return [
+        (name, g)
+        for name, g in _graphs_up_to(corpus, max_n, connected=True)
+        if g.n > 2 and is_simple(g)
+    ]
 
 
 def _check_binding_lemmas(corpus, spec) -> CheckResult:
-    res = CheckResult()
-    graphs = [
-        (name, g)
-        for name, g in _graphs_up_to(corpus, 6, connected=True)
-        if g.n > 2 and is_simple(g)
-    ]
-    for name, g in graphs[: spec.scaled(60)]:
-        res.cases += 1
-        b = binding_graph(g)
-        stable = sas_stabilize(b.graph).stable
-        wl_stable = wl_stabilize(b.graph).stable
-        if not binding_edge_recognition_ok(b, stable):
-            res.record(name, g, "binding edges fail to witness basic (non-)edges")
-        if not basic_binding_separation_ok(b, stable):
-            res.record(name, g, "basic and binding vertices share a stable label")
-        if not bv_correspondence_ok(b, stable):
-            res.record(name, g, "binding-vertex labels disagree with basic pair labels")
-        if not wl_from_sas_ok(b, stable, wl_stable):
-            res.record(name, g, "binding-edge labels disagree with the ordered-pair labels")
-    return res
+    return _run(_connected_simple_up_to(corpus, 6)[: spec.scaled(60)], binding_lemmas)
 
 
 def _check_binding_completeness(corpus, spec) -> CheckResult:
-    res = CheckResult()
     reps = nonisomorphic_connected_graphs(4)
-    for i, a in enumerate(reps):
-        for j, b in enumerate(reps):
-            res.cases += 1
-            plain = is_isomorphic_bruteforce(a, b) is not None
-            bound = (
-                is_isomorphic_bruteforce(binding_graph(a).graph, binding_graph(b).graph)
-                is not None
-            )
-            if plain != bound:
-                res.record(f"reps4/{i}-{j}", a, "binding changed the isomorphism verdict")
-    return res
+    pairs = [(f"reps4/{i}-{j}", a, b) for i, a in enumerate(reps) for j, b in enumerate(reps)]
+    return _run(pairs, binding_completeness)
 
 
 def _check_binding_orbits(corpus, spec) -> CheckResult:
-    res = CheckResult()
-    graphs = [
-        (name, g)
-        for name, g in _graphs_up_to(corpus, 5, connected=True)
-        if g.n > 2 and is_simple(g)
-    ]
-    for name, g in graphs[: spec.scaled(30)]:
-        res.cases += 1
-        b = binding_graph(g)
-        basic_orbits = [
-            tuple(v for v in cell if v < g.n)
-            for cell in automorphism_orbits(b.graph, max_n=b.n1).cells
-            if any(v < g.n for v in cell)
-        ]
-        if sorted(basic_orbits) != sorted(automorphism_orbits(g).cells):
-            res.record(name, g, "basic orbits of the binding graph differ from the graph's")
-    return res
+    return _run(_connected_simple_up_to(corpus, 5)[: spec.scaled(30)], binding_orbits)
 
 
 def _check_gi(corpus, spec) -> CheckResult:
@@ -482,15 +463,18 @@ def _check_ff_pitfall(corpus, spec) -> CheckResult:
 CHECKS = {
     "substitution_roundtrip": (_check_substitution, "implementation"),
     "dim_monotone_under_imbedding": (_check_dim_monotone, "implementation"),
-    "refinement_chain": (_check_refinement_chain, "theorem"),
-    "stable_fixpoint_and_recognition": (_check_stable_fixpoint, "theorem"),
-    "square_vs_ordered_pair_vertices": (_check_sas_wl_partitions, "theorem"),
-    "square_vs_ordered_pair_round_counts": (_check_sas_wl_round_counts, "theorem"),
+    "refinement_chain": (_limited(12, 80, refinement_chain), "theorem"),
+    "stable_fixpoint_and_recognition": (_limited(10, 60, stable_fixpoint_and_recognition), "theorem"),
+    "square_vs_ordered_pair_vertices": (_limited(30, 300, square_vs_ordered_pair_vertices), "theorem"),
+    "square_vs_ordered_pair_round_counts": (
+        _limited(30, 300, square_vs_ordered_pair_round_counts),
+        "theorem",
+    ),
     "relabeling_equivariance": (_check_equivariance, "implementation"),
-    "orbit_coarsening": (_check_orbit_coarsening, "theorem"),
+    "orbit_coarsening": (_limited(8, 80, orbit_coarsening), "theorem"),
     "description_routes": (_check_descgraph_routes, "theorem"),
     "strongly_regular_one_round": (_check_strongly_regular_one_round, "theorem"),
-    "partition_properties": (_check_partition_properties, "theorem"),
+    "partition_properties": (_limited(14, 120, partition_properties), "theorem"),
     "binding_lemmas": (_check_binding_lemmas, "theorem"),
     "binding_completeness": (_check_binding_completeness, "theorem"),
     "binding_orbits": (_check_binding_orbits, "theorem"),

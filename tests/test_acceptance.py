@@ -27,20 +27,18 @@ from graphbind.corpus import (
     random_permutation,
 )
 from graphbind.decide import gi_decide
-from graphbind.descgraph import (
-    adjoint_description_graph,
-    gamma_description_graph,
-    minimal_polynomial_degree,
-    spectral_description_graph,
-)
-from graphbind.oracle import automorphism_orbits, is_isomorphic_bruteforce
-from graphbind.partition import is_strongly_equitable, vertex_partition
+from graphbind.descgraph import gamma_description_graph, minimal_polynomial_degree
+from graphbind.oracle import is_isomorphic_bruteforce
+from graphbind.partition import vertex_partition
 from graphbind.refine import numeric_ff_stabilize, sas_stabilize, wl_stabilize
 from graphbind.validate import (
-    basic_binding_separation_ok,
-    binding_edge_recognition_ok,
-    bv_correspondence_ok,
-    wl_from_sas_ok,
+    binding_completeness,
+    binding_lemmas,
+    description_routes,
+    orbit_coarsening,
+    partition_properties,
+    square_vs_ordered_pair_vertices,
+    strongly_regular_one_round,
 )
 
 from conftest import as_graph, cells_from_diagonal
@@ -181,13 +179,8 @@ class TestCriterion4SasWlAgreement:
         return graphs
 
     def test_identical_vertex_partitions(self):
-        bad = 0
-        for g in self._corpus():
-            s = sas_stabilize(g)
-            w = wl_stabilize(g)
-            if vertex_partition(s.stable) != vertex_partition(w.stable):
-                bad += 1
-        assert bad == 0
+        bad = [g.labels.tolist() for g in self._corpus() if square_vs_ordered_pair_vertices(g)]
+        assert not bad, bad[:1]
         report(4, True, "diagonal partitions identical on 300 random + named graphs")
 
     def test_identical_round_counts(self):
@@ -233,10 +226,9 @@ class TestCriterion5StrongEquitability:
     def test_every_stable_graph_strongly_equitable(self):
         checked = 0
         for g in corpus_small():
-            stable = sas_stabilize(g).stable
-            assert is_strongly_equitable(stable, vertex_partition(stable)), g.labels.tolist()
+            assert partition_properties(g) == [], g.labels.tolist()
             checked += 1
-        report(5, True, f"strong equitability holds for all {checked} stable graphs")
+        report(5, True, f"strong equitability and the partition rules hold for all {checked} stable graphs")
 
 
 class TestCriterion6OrbitCoarsening:
@@ -245,9 +237,7 @@ class TestCriterion6OrbitCoarsening:
         for g in corpus_small():
             if g.n > 8:
                 continue
-            orbits = automorphism_orbits(g, prune=False)
-            cells = vertex_partition(sas_stabilize(g).stable)
-            assert orbits.refines(cells), g.labels.tolist()
+            assert orbit_coarsening(g) == [], g.labels.tolist()
             checked += 1
         report(6, True, f"oracle orbits sit inside stable cells on {checked} graphs (n<=8)")
 
@@ -258,14 +248,7 @@ class TestCriterion7ThreeWayEquivalence:
         for g in corpus_small():
             if g.n > 7 or not set(np.unique(g.labels).tolist()) <= {0, 1}:
                 continue
-            gamma = gamma_description_graph(g)
-            spectral = spectral_description_graph(g, tol=1e-9)
-            assert is_equivalent(gamma, spectral), g.labels.tolist()
-            adj = adjoint_description_graph(g, seed=checked)
-            if not is_equivalent(gamma, adj):
-                # one-sided Monte Carlo: re-run with fresh randomness first
-                adj = adjoint_description_graph(g, seed=checked + 10_000_019)
-                assert is_equivalent(gamma, adj), g.labels.tolist()
+            assert description_routes(g, seed=checked) == [], g.labels.tolist()
             checked += 1
         report(7, True, f"walk, adjugate and spectral routes agree on {checked} graphs (n<=7)")
 
@@ -286,9 +269,8 @@ class TestCriterion8Truncation:
 
 class TestCriterion9StronglyRegularOneShot:
     def test_petersen_single_post_seed_round(self):
-        trace = sas_stabilize(petersen_graph())
-        assert trace.rounds == 1
-        report(9, True, "petersen stabilizes in exactly 1 post-seed round")
+        assert strongly_regular_one_round(petersen_graph()) == []
+        report(9, True, "petersen stabilizes in exactly 1 post-seed round, as one description round")
 
 
 class TestCriterion10BindingCompleteness:
@@ -300,14 +282,7 @@ class TestCriterion10BindingCompleteness:
         assert len(reps) == 6
         for a in reps:
             for b in reps:
-                plain = is_isomorphic_bruteforce(a, b) is not None
-                bound = (
-                    is_isomorphic_bruteforce(
-                        binding_graph(a).graph, binding_graph(b).graph
-                    )
-                    is not None
-                )
-                assert plain == bound
+                assert binding_completeness(a, b) == [], (a.labels.tolist(), b.labels.tolist())
         elapsed = time.perf_counter() - started
         assert elapsed < 300
         report(10, True, f"binding preserved all {len(reps) ** 2} order-4 verdicts in {elapsed:.1f}s")
@@ -320,11 +295,5 @@ class TestCriterion11LemmaChecks:
         for _ in range(5):
             graphs.append(random_connected_graph(5, 0.55, seed=int(rng.integers(2**32))))
         for g in graphs:
-            b = binding_graph(g)
-            stable = sas_stabilize(b.graph).stable
-            wl_stable = wl_stabilize(b.graph).stable
-            assert binding_edge_recognition_ok(b, stable), g.labels.tolist()
-            assert basic_binding_separation_ok(b, stable), g.labels.tolist()
-            assert bv_correspondence_ok(b, stable), g.labels.tolist()
-            assert wl_from_sas_ok(b, stable, wl_stable), g.labels.tolist()
+            assert binding_lemmas(g) == [], g.labels.tolist()
         report(11, True, f"label-correspondence checks hold on {len(graphs)} binding graphs")

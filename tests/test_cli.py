@@ -159,6 +159,42 @@ class TestGiCommand:
         assert main(["gi", "--a", a, "--b", b, "--process", "wl"]) == 0
 
 
+class TestInputErrorsExitTwo:
+    """An input that cannot be read gives exit 2 and one error line, never the NO code."""
+
+    @staticmethod
+    def assert_one_error_line(capsys):
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    def test_missing_file(self, files, tmp_path, capsys):
+        _, a, _ = files
+        assert main(["gi", "--a", a, "--b", str(tmp_path / "missing.json")]) == 2
+        self.assert_one_error_line(capsys)
+
+    def test_non_ascii_file(self, files, tmp_path, capsys):
+        _, a, _ = files
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes("3\n1 2\n2 3 \u00e9\n".encode("utf-8"))
+        assert main(["gi", "--a", a, "--b", str(bad)]) == 2
+        self.assert_one_error_line(capsys)
+
+    # numpy refuses both matrices without allocating: the first is 71 PiB, and
+    # the second's byte count does not fit in its index type.
+    @pytest.mark.parametrize("count", [100_000_000, 10**10])
+    def test_oversized_vertex_count(self, files, tmp_path, capsys, count):
+        _, a, _ = files
+        big = tmp_path / "big.txt"
+        big.write_text(f"{count}\n")
+        assert main(["gi", "--a", str(big), "--b", a]) == 2
+        self.assert_one_error_line(capsys)
+
+    def test_oracle_iso_without_second_graph(self, files, capsys):
+        _, a, _ = files
+        assert main(["oracle", "iso", "--in", a]) == 2
+        self.assert_one_error_line(capsys)
+
+
 class TestFormatsViaCli:
     def test_graph6_and_edgelist_inputs(self, tmp_path, capsys):
         g = random_connected_graph(6, 0.5, seed=8)

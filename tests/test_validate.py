@@ -2,11 +2,27 @@
 
 from __future__ import annotations
 
-from graphbind.validate import CHECKS, CorpusSpec, build_corpus, validate_suite
+import json
+from pathlib import Path
+
+import numpy as np
+
+from graphbind.core import LabeledGraph
+from graphbind.refine import sas_stabilize, wl_stabilize
+from graphbind.validate import (
+    CHECKS,
+    CorpusSpec,
+    _run,
+    build_corpus,
+    square_vs_ordered_pair_round_counts,
+    validate_suite,
+)
+
+ROUND_COUNT_FINDINGS = Path(__file__).parent / "artifacts" / "criterion4_round_counts.json"
 
 
 def test_quick_suite_structure_and_classification():
-    report = validate_suite(CorpusSpec(quick=True, random_count=30))
+    report = validate_suite(CorpusSpec(quick=True))
     assert set(report["checks"]) == set(CHECKS)
     for name, entry in report["checks"].items():
         assert entry["kind"] in ("implementation", "theorem")
@@ -21,15 +37,28 @@ def test_quick_suite_structure_and_classification():
 
 
 def test_violations_carry_reproducible_instances():
-    report = validate_suite(CorpusSpec(quick=True, random_count=20, seed=3))
-    for entry in report["checks"].values():
-        for violation in entry["violations"]:
-            assert set(violation) == {"instance", "detail", "graph"}
-            assert len(violation["graph"]["labels"]) == violation["graph"]["n"]
+    """The serialized round-count counterexamples, run through the audit's
+    runner, are recorded with labels that reproduce the divergence."""
+    found = json.loads(ROUND_COUNT_FINDINGS.read_text())
+    selection = [
+        (f"criterion4/{k}", LabeledGraph(np.asarray(case["labels"])))
+        for k, case in enumerate(found)
+    ]
+    result = _run(selection, square_vs_ordered_pair_round_counts)
+    assert result.cases == len(found) > 0
+    assert [v["instance"] for v in result.violations] == [name for name, _ in selection]
+    for violation, case in zip(result.violations, found):
+        assert set(violation) == {"instance", "detail", "graph"}
+        g = LabeledGraph(np.asarray(violation["graph"]["labels"]))
+        assert g.n == violation["graph"]["n"]
+        rounds = (sas_stabilize(g).rounds, wl_stabilize(g).rounds)
+        assert rounds[0] != rounds[1]
+        assert rounds == (case["square_rounds"], case["ordered_rounds"])
+        assert violation["detail"] == f"round counts differ: {rounds[0]} vs {rounds[1]}"
 
 
 def test_corpus_contains_named_and_exhaustive_parts():
-    corpus = build_corpus(CorpusSpec(quick=True, random_count=5))
+    corpus = build_corpus(CorpusSpec(quick=True))
     names = [name for name, _ in corpus]
     assert any(name.startswith("all/n3/") for name in names)
     assert "named/petersen" in names

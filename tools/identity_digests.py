@@ -16,6 +16,11 @@ lines stabilize every input identically, label for label.
 Groups: the audit's quick corpus (kpower with k = 3 for order <= 8 only),
 one `audit` op, `decide-random` ops 1-2 at seeds 7 and 8, and `decide-srg`
 op 1 at seeds 7 and 8.
+
+Two more lines digest the quick and the full `validate_suite` report: the
+number of violations and the first 16 hex digits of a sha256 over every
+check's entry without its `seconds`, the same entries the benchmark's
+`audit` fingerprint compares.
 """
 
 from __future__ import annotations
@@ -50,6 +55,14 @@ def import_graphbind(src: Path):
     import workloads
 
     return tracing, workloads
+
+
+def report_digest(report: dict) -> str:
+    checks = {
+        name: {k: v for k, v in entry.items() if k != "seconds"}
+        for name, entry in report["checks"].items()
+    }
+    return hashlib.sha256(json.dumps(checks, sort_keys=True).encode()).hexdigest()[:16]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -95,6 +108,10 @@ def main(argv: list[str] | None = None) -> int:
             run()
             digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
             print(f"{name:28s} calls={len(records):<5d} sha256={digest}", flush=True)
+    for mode in ("quick", "full"):
+        report = validate_suite(CorpusSpec(quick=mode == "quick"))
+        line = f"{mode + ' report':28s} violations={report['violation_total']:<5d}"
+        print(f"{line} sha256={report_digest(report)}", flush=True)
     return 0
 
 
