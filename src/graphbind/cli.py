@@ -104,11 +104,11 @@ def cmd_oracle(args) -> int:
         raise GraphError("oracle iso needs a second graph, --in2")
     g = _read(args.infile, args.format)
     if args.action == "orbits":
-        orbits = automorphism_orbits(g, prune=not args.no_prune, max_n=args.max_n)
+        orbits = automorphism_orbits(g, max_n=args.max_n)
         print(json.dumps({"orbits": [list(c) for c in orbits.cells]}))
         return 0
     other = _read(args.infile2, args.format)
-    witness = is_isomorphic_bruteforce(g, other, prune=not args.no_prune, max_n=args.max_n)
+    witness = is_isomorphic_bruteforce(g, other, max_n=args.max_n)
     if witness is None:
         print(json.dumps({"isomorphic": False}))
         return 1
@@ -182,7 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_arguments(p, output=False)
     p.add_argument("--in2", dest="infile2", help="second graph (iso)")
     p.add_argument("--max-n", type=int, default=None)
-    p.add_argument("--no-prune", action="store_true", help="disable stable-cell pruning")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("gi", help="isomorphism decision via the binding graph")

@@ -64,6 +64,43 @@ def shrikhande_graph() -> LabeledGraph:
     return from_edges(16, edges)
 
 
+def heawood_graph() -> LabeledGraph:
+    """The (3,6)-cage: a 14-cycle with the chords of LCF notation [5, -5]^7."""
+    edges = [(i, (i + 1) % 14) for i in range(14)]
+    edges += [(i, (i + 5) % 14) for i in range(0, 14, 2)]
+    return from_edges(14, edges)
+
+
+def cfi_graph(base_edges, twisted: bool) -> LabeledGraph:
+    """Compact Cai-Fürer-Immerman graph over the base graph with `base_edges`.
+
+    Vertices are the pairs (v, S), S a set of edges at v with |S| even, or
+    odd at vertex 0 when `twisted`, listed by v and then by S in order of
+    size; (u, S) ~ (v, T) iff uv is an edge lying in both S and T or in
+    neither.  Over a connected base graph the twisted and untwisted graphs
+    are not isomorphic.
+    """
+    edges = [tuple(sorted(e)) for e in base_edges]
+    edge_set = set(edges)
+    n = 1 + max(v for e in edges for v in e)
+    at = [[e for e in edges if v in e] for v in range(n)]
+    vertices = [
+        (v, frozenset(s))
+        for v in range(n)
+        for size in range(len(at[v]) + 1)
+        if size % 2 == (twisted and v == 0)
+        for s in combinations(at[v], size)
+    ]
+    adjacent = []
+    for i, (u, s) in enumerate(vertices):
+        for j in range(i + 1, len(vertices)):
+            v, t = vertices[j]
+            e = (min(u, v), max(u, v))
+            if e in edge_set and (e in s) == (e in t):
+                adjacent.append((i, j))
+    return from_edges(len(vertices), adjacent)
+
+
 NAMED_GRAPHS = {
     "petersen": petersen_graph,
     "shrikhande": shrikhande_graph,

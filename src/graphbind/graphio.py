@@ -13,6 +13,7 @@ from typing import Literal
 import numpy as np
 
 from .core import BLANK, DirectedLabeledGraph, GraphError, LabeledGraph
+from .refine import max_evaluated_order
 
 Format = Literal["graph6", "edgelist", "matrix-json"]
 
@@ -159,11 +160,10 @@ def _parse_edgelist(text: str) -> LabeledGraph:
         raise ParseError("first line must be the vertex count", first_no) from None
     if n < 1:
         raise ParseError("vertex count must be at least 1", first_no)
-    try:
-        out = np.zeros((n, n), dtype=np.int64)
-    except (MemoryError, ValueError):
-        # numpy refuses a matrix larger than memory or than its index range.
-        raise ParseError(f"vertex count {n} is too large", first_no) from None
+    # Checked before the n x n matrix is allocated; no larger graph can be refined.
+    if n > max_evaluated_order():
+        raise ParseError(f"vertex count {n} is above the largest order {max_evaluated_order()}", first_no)
+    out = np.zeros((n, n), dtype=np.int64)
     for line_no, line in meaningful[1:]:
         parts = line.split()
         if len(parts) != 2:

@@ -1,32 +1,50 @@
 """Ground-truth isomorphism and automorphism orbits by backtracking search.
 
-These oracles audit the refinement machinery, so they can run in an
-unpruned mode that assumes nothing about it.  The pruned mode restricts the
-search to stable-partition cells, which is sound because cells are unions
-of orbits, but that soundness is itself one of the audited claims; keep the
-unpruned mode for orders small enough to afford it.
+These oracles audit the refinement machinery, so they use none of it.  The
+search takes its candidate images from a colour refinement computed here,
+the classical invariant partition used to prune isomorphism search (McKay &
+Piperno, "Practical graph isomorphism, II", 2014).  Every isomorphism maps
+a vertex to one of the same colour, so restricting the candidates to equal
+colours never drops a witness.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import GraphError, LabeledGraph, Partition
-from .partition import vertex_partition
-from .refine import sas_stabilize
+from .core import GraphError, LabeledGraph, Partition, first_encounter_ids
 
-DENSE_BOUND = 10
-PRUNED_BOUND = 16
+SEARCH_BOUND = 16
 
 
 class OracleBoundError(GraphError):
     """Instance too large for exhaustive search."""
 
 
-def _check_bound(n: int, prune: bool, max_n: int | None) -> None:
-    bound = max_n if max_n is not None else (PRUNED_BOUND if prune else DENSE_BOUND)
+def _check_bound(n: int, max_n: int | None) -> None:
+    bound = max_n if max_n is not None else SEARCH_BOUND
     if n > bound:
         raise OracleBoundError(f"order {n} exceeds the search bound {bound}")
+
+
+def _colours(labels: np.ndarray) -> list[int]:
+    """Stable colour refinement of a label matrix.
+
+    Colours start from the diagonal labels.  A vertex's next colour is its
+    colour plus the sorted multiset of (colour of w, label(v, w)) over all w;
+    refinement repeats until no class splits.
+    """
+    rows = labels.tolist()
+    colours = [row[v] for v, row in enumerate(rows)]
+    classes = len(set(colours))
+    while True:
+        signatures = [(colours[v], tuple(sorted(zip(colours, row)))) for v, row in enumerate(rows)]
+        ids: dict = {}
+        refined = first_encounter_ids(signatures, ids)
+        # A new colour extends the old one, so classes only split.
+        if len(ids) == classes:
+            return colours
+        colours, classes = refined, len(ids)
 
 
 def _search(
@@ -73,48 +91,15 @@ def _search(
     return tuple(sigma) if extend(0) else None
 
 
-def _cell_candidates(a: LabeledGraph, b: LabeledGraph) -> list[list[int]] | None:
-    """Per-vertex candidate images induced by matching stable cells.
-
-    Sound: an isomorphism carries stable cells of b onto stable cells of a,
-    and cells correspond iff the stable matrices restricted to them share
-    their (canonical) label pattern; matching cells by their sorted pattern
-    signature therefore never discards a witness.  Returns None when the
-    signatures cannot be matched at all (no isomorphism exists).
-    """
-    sa = sas_stabilize(a).stable
-    sb = sas_stabilize(b).stable
-    pa, pb = vertex_partition(sa), vertex_partition(sb)
-
-    def signatures(stable, part):
-        # Necessary invariant of corresponding cells: size plus the sorted
-        # label-count profile of a member row in the stable graph.
-        sig = {}
-        for k, cell in enumerate(part.cells):
-            counts = np.unique(stable.labels[cell[0]], return_counts=True)[1]
-            sig[k] = (len(cell), tuple(np.sort(counts).tolist()))
-        return sig
-
-    siga, sigb = signatures(sa, pa), signatures(sb, pb)
-    cells_by_sig: dict[object, list[int]] = {}
-    for k, s in siga.items():
-        cells_by_sig.setdefault(s, []).append(k)
-    candidates: list[list[int]] = [[] for _ in range(b.n)]
-    for k, cell in enumerate(pb.cells):
-        image_cells = cells_by_sig.get(sigb[k])
-        if not image_cells:
-            return None
-        allowed = sorted(v for ak in image_cells for v in pa.cells[ak])
-        for i in cell:
-            candidates[i] = allowed
-    return candidates
+def _same_colour(colours_a: list[int], colours_b: list[int]) -> list[list[int]]:
+    """For each vertex of b, the vertices of a of its colour, in increasing order."""
+    return [[w for w, c in enumerate(colours_a) if c == colour] for colour in colours_b]
 
 
 def is_isomorphic_bruteforce(
     a: LabeledGraph,
     b: LabeledGraph,
     *,
-    prune: bool = True,
     max_n: int | None = None,
 ) -> tuple[int, ...] | None:
     """Witness permutation with a[sigma(i)][sigma(j)] == b[i][j], or None.
@@ -124,20 +109,18 @@ def is_isomorphic_bruteforce(
     """
     if a.n != b.n:
         return None
-    _check_bound(a.n, prune, max_n)
-    # A witness preserves labels exactly, so both graphs must use the same
-    # labels with the same multiplicities.
-    ua, ca = np.unique(a.labels, return_counts=True)
-    ub, cb = np.unique(b.labels, return_counts=True)
-    if not (np.array_equal(ua, ub) and np.array_equal(ca, cb)):
+    _check_bound(a.n, max_n)
+    n = a.n
+    # Refining the disjoint union numbers colours alike in both graphs.  The
+    # cross entries get the label -1, which no graph uses.
+    union = np.full((2 * n, 2 * n), -1, dtype=np.int64)
+    union[:n, :n] = a.labels
+    union[n:, n:] = b.labels
+    colours = _colours(union)
+    colours_a, colours_b = colours[:n], colours[n:]
+    if sorted(colours_a) != sorted(colours_b):
         return None
-    if prune:
-        candidates = _cell_candidates(a, b)
-        if candidates is None:
-            return None
-    else:
-        candidates = [list(range(a.n)) for _ in range(a.n)]
-    sigma = _search(a.labels, b.labels, list(range(a.n)), candidates)
+    sigma = _search(a.labels, b.labels, list(range(n)), _same_colour(colours_a, colours_b))
     if sigma is not None:
         idx = np.asarray(sigma)
         if not np.array_equal(a.labels[np.ix_(idx, idx)], b.labels):
@@ -152,19 +135,14 @@ def _find_automorphism_mapping(g: LabeledGraph, u: int, v: int, candidates: list
     return _search(g.labels, g.labels, order, pinned)
 
 
-def automorphism_orbits(
-    g: LabeledGraph,
-    *,
-    prune: bool = True,
-    max_n: int | None = None,
-) -> Partition:
+def automorphism_orbits(g: LabeledGraph, *, max_n: int | None = None) -> Partition:
     """Exact orbit partition of the automorphism group.
 
     Vertices u, v share an orbit iff some automorphism maps u to v; the
-    search settles each undecided pair, and every automorphism found merges
-    all pairs it witnesses at once.
+    search settles each undecided pair of the same colour, and every
+    automorphism found merges all pairs it witnesses at once.
     """
-    _check_bound(g.n, prune, max_n)
+    _check_bound(g.n, max_n)
     n = g.n
     parent = list(range(n))
 
@@ -179,25 +157,16 @@ def automorphism_orbits(
         if rx != ry:
             parent[max(rx, ry)] = min(rx, ry)
 
-    if prune:
-        cells = vertex_partition(sas_stabilize(g).stable).cells
-    else:
-        cells = (tuple(range(n)),)
-    candidates: list[list[int]] = [[] for _ in range(n)]
-    for cell in cells:
-        for i in cell:
-            candidates[i] = list(cell)
-
-    diag = g.labels.diagonal()
-    for cell in cells:
-        for u in cell:
-            for v in cell:
-                if v <= u or find(u) == find(v) or diag[u] != diag[v]:
-                    continue
-                sigma = _find_automorphism_mapping(g, u, v, candidates)
-                if sigma is not None:
-                    for i, img in enumerate(sigma):
-                        union(i, img)
+    colours = _colours(g.labels)
+    candidates = _same_colour(colours, colours)
+    for u in range(n):
+        for v in candidates[u]:
+            if v <= u or find(u) == find(v):
+                continue
+            sigma = _find_automorphism_mapping(g, u, v, candidates)
+            if sigma is not None:
+                for i, img in enumerate(sigma):
+                    union(i, img)
     groups: dict[int, list[int]] = {}
     for v in range(n):
         groups.setdefault(find(v), []).append(v)

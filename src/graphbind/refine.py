@@ -55,8 +55,8 @@ from .descgraph import walk_powers
 K_POWER_LIMIT = 4
 
 #: The field of the evaluated rounds.  A product of two N x N matrices of
-#: field elements is exact in float64 while N * PRIME**2 < 2**53, which holds
-#: for every N up to 8192.
+#: field elements is exact in float64 while N * PRIME**2 < 2**53, that is
+#: for N up to `max_evaluated_order()`.
 PRIME = 2**20 - 3
 #: Independent random points per evaluated round.
 EVALUATIONS = 3
@@ -65,6 +65,12 @@ EVALUATIONS = 3
 EVALUATION_SEED = 20240901
 #: Size of one block of pair-code rows in the exact fixpoint check.
 CHECK_BLOCK_BYTES = 256 * 1024
+
+
+def max_evaluated_order() -> int:
+    """The largest order N with N * PRIME**2 < 2**53, 8192: evaluated rounds
+    and the edgelist reader refuse larger orders."""
+    return (2**53 - 1) // PRIME**2
 
 
 class VertexRecognitionError(GraphError):
@@ -451,7 +457,7 @@ def _stabilize(g: LabeledGraph, kind: type, exact_step=None) -> StabilizationTra
     reference round of the graph's process (`sas_step` or `wl_step`) takes
     that round and refinement continues.
     """
-    if exact_step is None and g.n * PRIME**2 >= 2**53:
+    if exact_step is None and g.n > max_evaluated_order():
         raise GraphError(
             f"order {g.n} is too large for exact evaluated rounds: "
             f"need order * {PRIME}**2 < 2**53"

@@ -241,7 +241,7 @@ def relabeling_equivariance(g: LabeledGraph, rng: np.random.Generator) -> list[s
 
 def orbit_coarsening(g: LabeledGraph) -> list[str]:
     """Every automorphism orbit of g lies inside one stable cell."""
-    orbits = automorphism_orbits(g, prune=False)
+    orbits = automorphism_orbits(g)
     cells = vertex_partition(sas_stabilize(g).stable)
     return [] if orbits.refines(cells) else ["an automorphism orbit crosses a stable cell"]
 

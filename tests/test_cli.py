@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -179,14 +180,28 @@ class TestInputErrorsExitTwo:
         assert main(["gi", "--a", a, "--b", str(bad)]) == 2
         self.assert_one_error_line(capsys)
 
-    # numpy refuses both matrices without allocating: the first is 71 PiB, and
-    # the second's byte count does not fit in its index type.
+    # Both counts are above the largest order refined, so no matrix is asked for.
     @pytest.mark.parametrize("count", [100_000_000, 10**10])
     def test_oversized_vertex_count(self, files, tmp_path, capsys, count):
         _, a, _ = files
         big = tmp_path / "big.txt"
         big.write_text(f"{count}\n")
         assert main(["gi", "--a", str(big), "--b", a]) == 2
+        self.assert_one_error_line(capsys)
+
+    def test_count_above_the_largest_order_allocates_nothing(self, files, tmp_path, capsys):
+        _, a, _ = files
+        big = tmp_path / "big.txt"
+        big.write_text("9000\n")
+        assert big.stat().st_size == 5
+        tracemalloc.start()
+        try:
+            assert main(["gi", "--a", str(big), "--b", a]) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # A 9000 x 9000 int64 matrix is 648 MB; numpy reports its buffers to tracemalloc.
+        assert peak < 2**20
         self.assert_one_error_line(capsys)
 
     def test_oracle_iso_without_second_graph(self, files, capsys):

@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from graphbind.core import GraphError, LabeledGraph, permuted
 from graphbind.corpus import (
+    cfi_graph,
     complete_graph,
     count_4_cliques,
     cycle_graph,
+    heawood_graph,
     path_graph,
     random_connected_graph,
     random_permutation,
@@ -17,7 +22,10 @@ from graphbind.corpus import (
     shrikhande_graph,
 )
 from graphbind.decide import gi_decide
+from graphbind.graphio import dumps_graph
 from graphbind.oracle import is_isomorphic_bruteforce
+
+CFI_HEAWOOD = Path(__file__).parent / "artifacts" / "cfi_heawood_sas.json"
 
 
 class TestPreconditions:
@@ -135,3 +143,19 @@ class TestStronglyRegularPair:
                 "counterexample: procedure says YES for Shrikhande vs rook; "
                 f"trace dims={res.dims}"
             )
+
+
+class TestCfiHeawoodCounterexample:
+    """The committed wrong YES on a non-isomorphic pair (tools/cfi_counterexample.py).
+
+    The decision takes minutes and gigabytes, so the test reads its record
+    and does not rerun it.
+    """
+
+    def test_records_yes_on_the_builders_pair(self):
+        doc = json.loads(CFI_HEAWOOD.read_text())
+        edges = doc["base_edges"]
+        assert edges == np.argwhere(np.triu(heawood_graph().labels)).tolist()
+        assert doc["untwisted"] == dumps_graph(cfi_graph(edges, False), "graph6").strip()
+        assert doc["twisted"] == dumps_graph(cfi_graph(edges, True), "graph6").strip()
+        assert (doc["process"], doc["verdict"], doc["unmixed_cells"]) == ("sas", "YES", [])

@@ -37,6 +37,18 @@ class TestEdgelist:
         with pytest.raises(ParseError):
             loads_graph("2\n1 3\n", "edgelist")
 
+    def test_vertex_count_above_the_largest_refined_order(self, monkeypatch):
+        import graphbind.refine as refine
+
+        with pytest.raises(ParseError) as err:
+            loads_graph("\n8193\n", "edgelist")
+        assert err.value.line == 2
+        # The bound is read from refine's field: with a larger prime it is 7.
+        monkeypatch.setattr(refine, "PRIME", 2**25)
+        assert loads_graph("7\n", "edgelist").n == 7
+        with pytest.raises(ParseError):
+            loads_graph("8\n", "edgelist")
+
     def test_loop_rejected(self):
         with pytest.raises(ParseError):
             loads_graph("2\n1 1\n", "edgelist")

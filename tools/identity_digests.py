@@ -17,6 +17,12 @@ Groups: the audit's quick corpus (kpower with k = 3 for order <= 8 only),
 one `audit` op, `decide-random` ops 1-2 at seeds 7 and 8, and `decide-srg`
 op 1 at seeds 7 and 8.
 
+The `oracle` line digests the brute-force oracles' answers, in order: the
+orbits of every quick-corpus graph of order <= 10; for each of them the
+witness against a copy relabeled by a permutation from a fixed seed, and
+against the next corpus graph of its order; and the orbits of the binding
+graphs of the connected order-4 and order-5 representatives.
+
 Two more lines digest the quick and the full `validate_suite` report: the
 number of violations and the first 16 hex digits of a sha256 over every
 check's entry without its `seconds`, the same entries the benchmark's
@@ -41,6 +47,8 @@ sys.dont_write_bytecode = True
 GIBENCH = Path(__file__).resolve().parent.parent / "gibench"
 STABILIZERS = ("sas_stabilize", "wl_stabilize", "kpower_stabilize")
 KPOWER_MAX_ORDER = 8
+ORACLE_MAX_ORDER = 10
+ORACLE_SEED = 20240901
 
 
 def import_graphbind(src: Path):
@@ -63,6 +71,28 @@ def report_digest(report: dict) -> str:
         for name, entry in report["checks"].items()
     }
     return hashlib.sha256(json.dumps(checks, sort_keys=True).encode()).hexdigest()[:16]
+
+
+def oracle_results() -> list:
+    """The answers the `oracle` line digests, in order."""
+    from graphbind.binding import binding_graph
+    from graphbind.core import permuted
+    from graphbind.corpus import nonisomorphic_connected_graphs, random_permutation
+    from graphbind.oracle import automorphism_orbits, is_isomorphic_bruteforce
+    from graphbind.validate import CorpusSpec, build_corpus
+
+    graphs = [g for _, g in build_corpus(CorpusSpec(quick=True)) if g.n <= ORACLE_MAX_ORDER]
+    results: list = [automorphism_orbits(g).cells for g in graphs]
+    for k, g in enumerate(graphs):
+        sigma = random_permutation(g.n, seed=ORACLE_SEED + k)
+        results.append(is_isomorphic_bruteforce(g, permuted(g, sigma)))
+        following = next((h for h in graphs[k + 1:] if h.n == g.n), None)
+        if following is not None:
+            results.append(is_isomorphic_bruteforce(g, following))
+    for n in (4, 5):
+        for g in nonisomorphic_connected_graphs(n):
+            results.append(automorphism_orbits(binding_graph(g).graph).cells)
+    return results
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -108,6 +138,9 @@ def main(argv: list[str] | None = None) -> int:
             run()
             digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
             print(f"{name:28s} calls={len(records):<5d} sha256={digest}", flush=True)
+    results = oracle_results()
+    digest = hashlib.sha256(json.dumps(results).encode()).hexdigest()
+    print(f"{'oracle':28s} calls={len(results):<5d} sha256={digest}", flush=True)
     for mode in ("quick", "full"):
         report = validate_suite(CorpusSpec(quick=mode == "quick"))
         line = f"{mode + ' report':28s} violations={report['violation_total']:<5d}"
