@@ -5,9 +5,10 @@ graph, its binding graph is stabilized, and the verdict is read off the
 cells of the stable vertex partition: YES iff every basic cell other than
 the apex singleton mixes vertices of both copies.
 
-The test suite audits this procedure against brute-force search; the
-correctness claim behind it is not community-verified, so the tool reports,
-it does not certify.
+The test suite audits this procedure against brute-force search.  The
+correctness claim behind it is refuted by a committed counterexample, a YES
+on the non-isomorphic CFI pair over the Heawood graph (see the README), so
+the tool reports, it does not certify.
 """
 
 from __future__ import annotations

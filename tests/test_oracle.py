@@ -8,8 +8,8 @@ from itertools import combinations, permutations
 import numpy as np
 import pytest
 
-from graphbind.core import LabeledGraph, permuted, same_matrix
 from graphbind.binding import binding_graph
+from graphbind.core import LabeledGraph, permuted, same_matrix
 from graphbind.corpus import (
     cfi_graph,
     complete_graph,
@@ -70,17 +70,18 @@ def unrestricted_witness(a: LabeledGraph, b: LabeledGraph):
 
 def unrestricted_orbits(g: LabeledGraph):
     """u and v share an orbit iff the unrestricted search maps u to v."""
-    n = g.n
     cells: list[tuple[int, ...]] = []
-    for u in range(n):
+    for u in range(g.n):
         if any(u in cell for cell in cells):
             continue
-        order = [u] + [i for i in range(n) if i != u]
-        cells.append((u,) + tuple(
-            v
-            for v in range(u + 1, n)
-            if _search(g.labels, g.labels, order, [[v] if i == u else list(range(n)) for i in range(n)])
-        ))
+        order = [u] + [i for i in range(g.n) if i != u]
+        cell = [u]
+        for v in range(u + 1, g.n):
+            candidates = unrestricted(g.n)
+            candidates[u] = [v]
+            if _search(g.labels, g.labels, order, candidates) is not None:
+                cell.append(v)
+        cells.append(tuple(cell))
     return sorted(cells)
 
 
