@@ -106,7 +106,10 @@ class DirectedLabeledGraph:
 
     def __post_init__(self) -> None:
         arr = _as_label_matrix(self.labels)
-        if not (_single_valued(arr.ravel(), arr.T.ravel()) and _single_valued(arr.T.ravel(), arr.ravel())):
+        # One direction suffices: "labels[u][v] == labels[r][s] implies
+        # labels[v][u] == labels[s][r]" for all positions, applied to the
+        # transposed positions (v,u) and (s,r), is the converse implication.
+        if not _single_valued(arr.ravel(), arr.T.ravel()):
             raise GraphError("matrix does not respect converse equivalence")
         object.__setattr__(self, "labels", arr)
 
@@ -158,27 +161,53 @@ def first_encounter_ids(keys: Iterable[Code], ids: dict[Code, int]) -> list[int]
     return [ids.setdefault(key, len(ids) + 1) for key in keys]
 
 
-def first_encounter_relabel(arr: np.ndarray) -> np.ndarray:
-    """Map distinct values of `arr` to 1..d by first encounter in row-major order.
+def first_encounter_relabel(arr: np.ndarray, *tied: np.ndarray) -> np.ndarray:
+    """Map distinct keys (arr, *tied) to 1..d by first encounter in row-major order.
 
-    One sort groups equal values; besides the input it holds three int64
-    arrays of its size at a time.
+    Each array of `tied` has the size of `arr` and is read row-major; entry
+    i's key is the tuple of the i-th entries.  One sort groups equal values
+    of `arr`.  If every tied array is constant within each run of equal
+    values, those runs are the key's classes and are numbered directly, in
+    O(size) after the sort.  Otherwise each tied array, renumbered densely
+    first, is folded into pair codes with the numbering so far, which are
+    numbered again; no code overflows int64.  First-encounter ids depend
+    only on the partition the key induces, so both paths give the same ids.
+    Besides the inputs one pass holds three int64 arrays of their size at a
+    time.
     """
     arr = np.asarray(arr)
     flat = arr.ravel()
+    tied = tuple(np.asarray(t).ravel() for t in tied)
+    if any(t.size != flat.size for t in tied):
+        raise ValueError("every tied array must have the size of arr")
     order = np.argsort(flat)
     ordered = flat[order]
     starts = np.empty(flat.size, dtype=bool)
     starts[:1] = True
     np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
     del ordered
-    # The first encounter of a value is the least position among its equals.
+    # A tied array splits a run where it changes between two of its entries.
+    collided = any(
+        (np.not_equal(run[1:], run[:-1]) > starts[1:]).any() for run in (t[order] for t in tied)
+    )
+    # The first encounter of a value is the least position among its equals,
+    # and its rank among first encounters is a count of them up to it.
     first = np.minimum.reduceat(order, np.flatnonzero(starts))
-    rank = np.empty(first.size, dtype=np.int64)
-    rank[np.argsort(first)] = np.arange(1, first.size + 1)
+    is_first = np.zeros(flat.size, dtype=bool)
+    is_first[first] = True
+    rank = np.cumsum(is_first, dtype=np.int64)[first]
+    del is_first, first
     group = np.cumsum(starts, dtype=np.int64)
     group -= 1
     group[order] = rank[group]
+    del order, starts, rank
+    if collided:
+        for t in tied:
+            dense = 0 <= t.min() and t.max() < t.size
+            t = t.astype(np.int64) if dense else first_encounter_relabel(t)
+            group *= int(t.max()) + 1
+            group += t
+            group = first_encounter_relabel(group)
     return group.reshape(arr.shape)
 
 

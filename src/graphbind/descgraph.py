@@ -202,17 +202,16 @@ def spectral_description_graph(a: LabeledGraph, tol: float = 1e-9) -> LabeledGra
     dec = spectral_decomposition(a, tol)
     if dec.ill_conditioned:
         warnings.warn("eigenvalue gaps within 10x tolerance; grouping may be unreliable", RuntimeWarning)
-    signature = np.zeros((a.n, a.n), dtype=np.int64)
+    clusters = []
     for proj in dec.projectors:
         proj = (proj + proj.T) / 2.0
         flat = proj.ravel()
         order = np.argsort(flat, kind="stable")
         ids = np.empty_like(order)
         ids[order] = _cluster_sorted(flat[order], tol)
-        combined = signature * (int(ids.max()) + 1) + ids.reshape(a.n, a.n)
-        # Re-compress after every projector so the combined id stays small.
-        signature = first_encounter_relabel(combined)
-    return equivalent_variable_substitution(signature)
+        clusters.append(ids)
+    # A position's signature is its tuple of cluster ids, one per projector.
+    return equivalent_variable_substitution(first_encounter_relabel(*clusters).reshape(a.n, a.n))
 
 
 # ---------------------------------------------------------------------------

@@ -80,44 +80,49 @@ def guess_format(path: str | os.PathLike) -> Format:
 # ---------------------------------------------------------------------------
 # graph6 (the standard ASCII encoding for simple graphs).
 
+def _graph6_sextets(chars: str, offset: int) -> np.ndarray:
+    """The 6-bit values of graph6 characters that start at column `offset` + 1."""
+    codes = np.frombuffer(chars.encode("utf-32-le"), dtype="<u4")
+    bad = np.flatnonzero((codes < 63) | (codes > 126))
+    if bad.size:
+        raise ParseError(f"invalid graph6 character {chars[bad[0]]!r}", 1, offset + int(bad[0]) + 1)
+    return (codes - 63).astype(np.uint8)
+
+
 def _parse_graph6(text: str) -> LabeledGraph:
     line = text.strip().splitlines()[0].strip() if text.strip() else ""
     if line.startswith(">>graph6<<"):
         line = line[len(">>graph6<<"):]
     if not line:
         raise ParseError("empty graph6 input", 1)
-    data = [ord(c) - 63 for c in line]
-    if any(not 0 <= b <= 63 for b in data):
-        bad = next(i for i, b in enumerate(data) if not 0 <= b <= 63)
-        raise ParseError(f"invalid graph6 character {line[bad]!r}", 1, bad + 1)
+    # The size header takes at most 8 characters; the order is bounded
+    # before the body is decoded.
+    data = _graph6_sextets(line[:8], 0)
     if data[0] <= 62:
-        n, body = data[0], data[1:]
+        n, start = int(data[0]), 1
     elif len(data) >= 4 and data[1] <= 62:
-        n = (data[1] << 12) + (data[2] << 6) + data[3]
-        body = data[4:]
+        n, start = (int(data[1]) << 12) + (int(data[2]) << 6) + int(data[3]), 4
     elif len(data) >= 8:
-        n = 0
-        for b in data[2:8]:
+        n, start = 0, 8
+        for b in data[2:8].tolist():
             n = (n << 6) + b
-        body = data[8:]
     else:
         raise ParseError("truncated graph6 size header", 1)
     if n < 1:
         raise ParseError("graph6 order must be at least 1", 1)
+    if n > max_evaluated_order():
+        raise ParseError(f"graph6 order {n} is above the largest order {max_evaluated_order()}", 1)
+    body = _graph6_sextets(line[start:], start)
     need = (n * (n - 1) // 2 + 5) // 6
     if len(body) != need:
         raise ParseError(f"expected {need} body characters, got {len(body)}", 1)
-    bits = []
-    for b in body:
-        bits.extend((b >> shift) & 1 for shift in range(5, -1, -1))
-    out = np.zeros((n, n), dtype=np.int64)
-    k = 0
-    for v in range(1, n):
-        for u in range(v):
-            if bits[k]:
-                out[u, v] = out[v, u] = 1
-            k += 1
-    return LabeledGraph(out)
+    # Six bits per character, high bit first, over the pairs u < v ordered
+    # by v and then u: the row-major order of the strict lower triangle.
+    bits = np.unpackbits(body[:, None], axis=1)[:, 2:].ravel()
+    adj = np.zeros((n, n), dtype=np.uint8)
+    adj[np.tri(n, k=-1, dtype=bool)] = bits[: n * (n - 1) // 2]
+    adj |= adj.T
+    return LabeledGraph(adj)
 
 
 def _emit_graph6(g: LabeledGraph) -> str:

@@ -11,11 +11,15 @@ over ordered ones (wl).  The reference rounds `sas_step`, `wl_step` and
 The stabilization loops of `sas_stabilize` and `wl_stabilize` evaluate the
 symbolic product instead, at random points of the prime field GF(`PRIME`):
 each label is a variable, the square is one float64 matrix product per
-point, and every entry is keyed by its previous label and `EVALUATIONS`
-values.  Equal multisets always evaluate equal, so an evaluated round can
-only merge classes that the exact round keeps apart (Schwartz-Zippel bounds
-the chance by 2/`PRIME` per point), and it still refines its input.  The
-loop therefore checks its fixpoint exactly, once: every label class must
+point, and every entry is keyed by its `EVALUATIONS` values and its
+previous label.  Equal multisets always evaluate equal, so an evaluated
+round can only merge classes that the exact round keeps apart
+(Schwartz-Zippel bounds the chance by 2/`PRIME` per point), and it still
+refines its input.  Unless evaluations collide, they alone decide an
+entry's class, so one sort of them numbers the round.  Every round numbers
+its labels 1..d, so the loop reads a round's dimension off its largest
+label, and a round whose entries all differ is stable without another
+round.  The loop checks its fixpoint exactly, once: every label class must
 have identical sorted pair-code rows, built as the exact round builds them
 (`_pair_code_builder`).  A best-effort individualization-refinement search
 (`_automorphisms`) first looks for vertex permutations that preserve every
@@ -230,11 +234,14 @@ def _evaluated_round(g: AnyGraph, rng: np.random.Generator) -> np.ndarray:
     Entry (u,v) of the symbolic square of a LabeledGraph is
     sum_k x[g[u][k]] * x[g[k][v]], with one variable per label; the ordered
     product of a DirectedLabeledGraph uses independent x and y.  Each point
-    gives one float64 matrix product, exact below 2**53, reduced mod PRIME.
-    Entries are keyed by their previous label and all evaluations (for the
-    ordered product also the evaluations of the transposed entry, which keeps
-    the output converse equivalent even under collisions) and numbered by
-    first encounter in row-major order.  A square is symmetric, so only its
+    gives one float64 matrix product, exact below 2**53, reduced mod PRIME,
+    and an entry's evaluations pack into one int64 below PRIME**3 < 2**60.
+    Entries are keyed by their evaluations, then their previous label (for
+    the ordered product then also the evaluations of the transposed entry,
+    which keeps the output converse equivalent even under collisions), and
+    numbered 1..d by first encounter in row-major order.  Without a
+    collision the evaluations alone decide the key, so the numbering costs
+    one sort (`first_encounter_relabel`).  A square is symmetric, so only its
     upper triangle is keyed: row-major, it meets every value where the full
     matrix does.
     """
@@ -258,17 +265,9 @@ def _evaluated_round(g: AnyGraph, rng: np.random.Generator) -> np.ndarray:
         else:
             values *= PRIME
             values += entries
-    # Evaluations stay below PRIME**3 < 2**60 and labels and ids at most n*n,
-    # so no key overflows int64 for any order the exactness bound admits.
-    values = first_encounter_relabel(values)
-    key = values * (int(m.max()) + 1) + (m.ravel() if directed else m[upper])
     if directed:
-        key = first_encounter_relabel(key)
-        key *= int(values.max()) + 1
-        key += values.reshape(n, n).T.ravel()
-    ids = first_encounter_relabel(key)
-    if directed:
-        return ids.reshape(n, n)
+        return first_encounter_relabel(values, m.ravel(), values.reshape(n, n).T).reshape(n, n)
+    ids = first_encounter_relabel(values, m[upper])
     out = np.empty((n, n), dtype=np.int64)
     out[upper] = ids
     out.T[upper] = ids
@@ -456,6 +455,12 @@ def _stabilize(g: LabeledGraph, kind: type, exact_step=None) -> StabilizationTra
     checked exactly, and if the exact round would split a class, the
     reference round of the graph's process (`sas_step` or `wl_step`) takes
     that round and refinement continues.
+
+    Every round numbers its labels 1..d, so its dim is its largest label.
+    A round that makes every entry its own class (every unordered pair of
+    vertices, for a symmetric `kind`) is stable: the next round would keep
+    each label as numbered, and the fixpoint check would find no class to
+    split.  The loop counts that round and returns.
     """
     if exact_step is None and g.n > max_evaluated_order():
         raise GraphError(
@@ -466,10 +471,11 @@ def _stabilize(g: LabeledGraph, kind: type, exact_step=None) -> StabilizationTra
     seeded = seed_recognize_vertices(g)
     current = seeded if kind is LabeledGraph else kind(seeded.labels)
     round_bound = g.n * (g.n + 1) // 2 + 1
+    discrete = g.n * (g.n + 1) // 2 if kind is LabeledGraph else g.n * g.n
     dims = [dim(current)]
     for rounds in range(1, round_bound + 1):
         refined = exact_step(current) if exact_step else kind(_evaluated_round(current, rng))
-        dims.append(dim(refined))
+        dims.append(int(refined.labels.max()))
         if dims[-1] == dims[-2]:
             # Dimension fixpoint implies equivalence; assert it once.
             if not is_equivalent(current, refined):
@@ -477,7 +483,10 @@ def _stabilize(g: LabeledGraph, kind: type, exact_step=None) -> StabilizationTra
             if exact_step or _exactly_stable(refined):
                 return StabilizationTrace(stable=refined, rounds=rounds, dims=dims)
             refined = (sas_step if kind is LabeledGraph else wl_step)(refined)
-            dims[-1] = dim(refined)
+            dims[-1] = int(refined.labels.max())
+        elif dims[-1] == discrete:
+            dims.append(dims[-1])
+            return StabilizationTrace(stable=refined, rounds=rounds + 1, dims=dims)
         current = refined
     raise AssertionError("refinement exceeded its theoretical round bound")
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import graphbind.core as core
 from graphbind.core import (
     BLANK,
     DirectedLabeledGraph,
@@ -73,6 +74,33 @@ class TestLabeledGraph:
     def test_directed_accepts_converse_equivalent(self):
         ok = np.array([[1, 5, 2], [6, 1, 2], [3, 3, 1]])
         assert DirectedLabeledGraph(ok).n == 3
+
+    def test_directed_accepts_what_the_two_way_check_accepts(self):
+        # The constructor checks one direction of converse equivalence; the
+        # definition, and the check in both directions, accept the same
+        # matrices: all 3x3 matrices over 3 labels and random 4x4 ones.
+        import itertools
+
+        from graphbind.core import _single_valued
+
+        rng = np.random.default_rng(12)
+        matrices = [np.array(m).reshape(3, 3) for m in itertools.product(range(3), repeat=9)]
+        matrices += list(rng.integers(0, 3, size=(3000, 4, 4)))
+        accepted = 0
+        for m in matrices:
+            flat, converse = m.ravel(), m.T.ravel()
+            by_definition = bool(
+                ((flat[:, None] == flat[None, :]) == (converse[:, None] == converse[None, :])).all()
+            )
+            assert by_definition == (_single_valued(flat, converse) and _single_valued(converse, flat))
+            try:
+                DirectedLabeledGraph(m)
+            except GraphError:
+                assert not by_definition
+            else:
+                assert by_definition
+                accepted += 1
+        assert 0 < accepted < len(matrices)
 
 
 class TestSubstitution:
@@ -202,7 +230,79 @@ class TestDim:
             assert dim(g) == np.unique(g.labels).size
 
 
+def numbered_by_dict(*arrays) -> list[int]:
+    """Number the tuples of the arrays' row-major entries 1, 2, ... by first encounter."""
+    ids: dict[tuple, int] = {}
+    return [ids.setdefault(key, len(ids) + 1) for key in zip(*(np.ravel(a).tolist() for a in arrays))]
+
+
+def counting_relabels(monkeypatch) -> list:
+    """Record the number of tied arrays of every `first_encounter_relabel`
+    call made through the module, its own fallback's included."""
+    calls = []
+    relabel = core.first_encounter_relabel
+
+    def counted(*args):
+        calls.append(len(args) - 1)
+        return relabel(*args)
+
+    monkeypatch.setattr(core, "first_encounter_relabel", counted)
+    return calls
+
+
+WIDE = st.integers(-(2**60), 2**60)
+
+
 class TestFirstEncounterRelabel:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_tuple_keys_match_dict_numbering(self, data):
+        size = data.draw(st.integers(1, 24))
+        column = st.lists(st.one_of(st.integers(0, 3), WIDE), min_size=size, max_size=size)
+        arr = data.draw(st.lists(st.integers(0, 3), min_size=size, max_size=size))
+        tied = data.draw(st.lists(column, max_size=2))
+        out = first_encounter_relabel(np.array(arr), *map(np.array, tied))
+        assert out.dtype == np.int64 and out.tolist() == numbered_by_dict(arr, *tied)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.one_of(st.integers(0, 3), WIDE), min_size=1, max_size=40))
+    def test_without_tied_arrays_matches_dict_numbering(self, arr):
+        assert first_encounter_relabel(np.array(arr)).tolist() == numbered_by_dict(arr)
+
+    def test_tied_arrays_constant_within_runs_take_one_sort(self, monkeypatch):
+        rng = np.random.default_rng(21)
+        arr = rng.integers(0, 30, size=(20, 20))
+        tied = (arr * 7 % 5, arr + 2**60)
+        calls = counting_relabels(monkeypatch)
+        for k in range(len(tied) + 1):
+            calls.clear()
+            out = core.first_encounter_relabel(arr, *tied[:k])
+            assert out.shape == arr.shape
+            assert out.ravel().tolist() == numbered_by_dict(arr, *tied[:k])
+            assert calls == [k]
+
+    def test_tied_array_that_splits_a_run_falls_back(self, monkeypatch):
+        rng = np.random.default_rng(22)
+        arr = rng.integers(0, 5, size=200)
+        splitting = (rng.integers(0, 3, size=200), rng.integers(-(2**60), 2**60, size=200))
+        calls = counting_relabels(monkeypatch)
+        for tied in ((splitting[0],), (arr % 2, splitting[1]), splitting):
+            calls.clear()
+            out = core.first_encounter_relabel(arr, *tied)
+            assert out.tolist() == numbered_by_dict(arr, *tied)
+            # One pass over `arr`, then one per tied array folded in, plus one
+            # to renumber a tied array that is not dense already.
+            assert calls[0] == len(tied) and len(calls) > 1 and set(calls[1:]) == {0}
+        assert core.first_encounter_relabel(np.array([1, 1, 2, 2]), np.array([0, 1, 0, 0])).tolist() == [
+            1, 2, 3, 3
+        ]
+
+    def test_tied_arrays_are_read_row_major(self):
+        m = np.array([[5, 5], [6, 5]])
+        assert first_encounter_relabel(m, m.T).tolist() == [[1, 2], [3, 1]]
+        with pytest.raises(ValueError):
+            first_encounter_relabel(m, m[0])
+
     def test_matches_dict_numbering(self):
         rng = np.random.default_rng(8)
         for shape, high in (((1,), 5), ((7, 7), 3), ((40,), 40), ((12, 12), 2**62)):

@@ -93,6 +93,20 @@ class TestGraph6:
         with pytest.raises(ParseError):
             loads_graph("E", "graph6")
 
+    def test_order_above_the_largest_refined_order(self):
+        # "~AKg" is the 4-character header of order 2*4096 + 12*64 + 40 = 9000;
+        # the order is refused before the missing body is noticed.
+        with pytest.raises(ParseError, match="order 9000 is above the largest order 8192"):
+            loads_graph("~AKg", "graph6")
+        with pytest.raises(ParseError, match="expected 5591723 body characters"):
+            loads_graph("~A??", "graph6")
+
+    def test_bits_fill_the_upper_triangle_column_by_column(self):
+        # Bits run over (0,1), (0,2), (1,2), (0,3), ...: "C" + chr(63 + 0b101100)
+        # is the order-4 graph with edges 01, 12 and 03.
+        g = loads_graph("C" + chr(63 + 0b101100), "graph6")
+        assert g.labels.tolist() == [[0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]]
+
 
 class TestMatrixJson:
     def test_roundtrip_labeled(self, tmp_path):

@@ -32,7 +32,7 @@ from graphbind.corpus import (
     shrikhande_graph,
 )
 from graphbind.descgraph import BudgetExceededError
-from graphbind.oracle import automorphism_orbits
+from graphbind.oracle import automorphism_orbits, is_isomorphic_bruteforce
 from graphbind.partition import vertex_partition
 from graphbind.refine import (
     PRIME,
@@ -172,9 +172,28 @@ def symmetric_pair_binding_graphs() -> list[LabeledGraph]:
     return [binding_graph(wing_graph(a, b)).graph for a, b in ((k33, prism), (petersen, relabeled))]
 
 
+def asymmetric_no_pair_binding_graph() -> LabeledGraph:
+    """Binding graph of two non-isomorphic asymmetric 6-vertex graphs.
+
+    Its wing graph has no automorphism but the identity, and both processes
+    stabilize it to a discrete graph: every entry has a label of its own.
+    """
+    a = random_connected_graph(6, 0.5, seed=0)
+    b = next(
+        b
+        for b in (random_connected_graph(6, 0.5, seed=s) for s in range(1, 100))
+        if len(automorphism_orbits(b).cells) == b.n and is_isomorphic_bruteforce(a, b) is None
+    )
+    return binding_graph(wing_graph(a, b)).graph
+
+
 def binding_graphs_of_yes_and_no_pairs() -> list[LabeledGraph]:
     """The binding graphs above, and those of random YES and NO pairs of order 3 to 6."""
-    bound_graphs = [asymmetric_pair_binding_graph(), *symmetric_pair_binding_graphs()]
+    bound_graphs = [
+        asymmetric_pair_binding_graph(),
+        asymmetric_no_pair_binding_graph(),
+        *symmetric_pair_binding_graphs(),
+    ]
     for n in range(3, 7):
         for seed in range(3):
             a = random_connected_graph(n, 0.5, seed=10 * n + seed)
@@ -186,6 +205,19 @@ def binding_graphs_of_yes_and_no_pairs() -> list[LabeledGraph]:
             )
             bound_graphs += [binding_graph(wing_graph(a, other)).graph for other in (yes, no)]
     return bound_graphs
+
+
+def recorded_outputs(monkeypatch, module, name: str) -> list:
+    """Wrap `module.name` so that every call's result is appended to the returned list."""
+    outputs = []
+    fn = getattr(module, name)
+
+    def recording(*args, **kwargs):
+        outputs.append(fn(*args, **kwargs))
+        return outputs[-1]
+
+    monkeypatch.setattr(module, name, recording)
+    return outputs
 
 
 def numbered(codes: list[list[tuple]]) -> np.ndarray:
@@ -468,10 +500,48 @@ class TestEvaluatedRounds:
             self.assert_identical(sas_stabilize(g), exact_sas(g))
             self.assert_identical(wl_stabilize(g), exact_wl(g))
 
-    def test_identical_on_binding_graphs_of_yes_and_no_pairs(self):
+    def test_identical_on_binding_graphs_of_yes_and_no_pairs(self, monkeypatch):
+        import graphbind.refine as refine
+
+        evaluated = recorded_outputs(monkeypatch, refine, "_evaluated_round")
+        discrete = {"sas": 0, "wl": 0}
         for bound in binding_graphs_of_yes_and_no_pairs():
-            self.assert_identical(sas_stabilize(bound), exact_sas(bound))
-            self.assert_identical(wl_stabilize(bound), exact_wl(bound))
+            n = bound.n
+            for name, stabilize, exact, entries in (
+                ("sas", sas_stabilize, exact_sas, n * (n + 1) // 2),
+                ("wl", wl_stabilize, exact_wl, n * n),
+            ):
+                evaluated.clear()
+                trace = stabilize(bound)
+                self.assert_identical(trace, exact(bound))
+                # A discrete graph is returned without the round that would
+                # confirm it; the trace still counts that round.
+                is_discrete = trace.dims[-1] == entries
+                discrete[name] += is_discrete
+                assert len(evaluated) == trace.rounds - is_discrete
+        assert discrete["sas"] > 0 and discrete["wl"] > 0
+
+    def test_every_round_numbers_its_labels_one_to_dim(self, monkeypatch):
+        import graphbind.refine as refine
+        from graphbind.refine import kpower_stabilize
+
+        outputs = {
+            name: recorded_outputs(monkeypatch, refine, name)
+            for name in ("_evaluated_round", "sas_step", "wl_step", "kpower_step")
+        }
+        graphs = [random_graph(4 + seed % 7, 0.5, seed=500 + seed) for seed in range(30)]
+        traces = [kpower_stabilize(g, 3) for g in graphs[:6]]
+        for prime in (PRIME, 2):
+            # Over GF(2) collisions are common, so the exact fallback runs.
+            monkeypatch.setattr(refine, "PRIME", prime)
+            traces += [stabilize(g) for g in graphs for stabilize in (sas_stabilize, wl_stabilize)]
+        for name, rounds in outputs.items():
+            assert rounds, name
+            for out in rounds:
+                labels = out if isinstance(out, np.ndarray) else out.labels
+                assert np.array_equal(np.unique(labels), np.arange(1, labels.max() + 1)), name
+        for trace in traces:
+            assert trace.dims[-1] == dim(trace.stable)
 
     def test_collisions_fall_back_to_the_exact_round(self, monkeypatch):
         # Over GF(2) and GF(3) evaluations collide often; the exact fixpoint

@@ -13,9 +13,12 @@ rounds, dims].  One line per input group prints the number of calls and a
 sha256 over their records in call order.  Two trees that print the same
 lines stabilize every input identically, label for label.
 
-Groups: the audit's quick corpus (kpower with k = 3 for order <= 8 only),
-one `audit` op, `decide-random` ops 1-2 at seeds 7 and 8, and `decide-srg`
-op 1 at seeds 7 and 8.
+Groups: the audit's quick corpus (kpower with k = 3 for order <= 8 only);
+`collisions`, sas and wl on the quick corpus of order <= 8 with
+`refine.PRIME` set to 3, where evaluations collide often, so that the
+interner's collision path and the fallback to the exact round run; one
+`audit` op; `decide-random` ops 1-2 at seeds 7 and 8; and `decide-srg` op 1
+at seeds 7 and 8.
 
 The `oracle` line digests the brute-force oracles' answers, in order: the
 orbits of every quick-corpus graph of order <= 10; for each of them the
@@ -47,6 +50,8 @@ sys.dont_write_bytecode = True
 GIBENCH = Path(__file__).resolve().parent.parent / "gibench"
 STABILIZERS = ("sas_stabilize", "wl_stabilize", "kpower_stabilize")
 KPOWER_MAX_ORDER = 8
+COLLISION_MAX_ORDER = 8
+COLLISION_PRIME = 3
 ORACLE_MAX_ORDER = 10
 ORACLE_SEED = 20240901
 
@@ -121,11 +126,26 @@ def main(argv: list[str] | None = None) -> int:
             if g.n <= KPOWER_MAX_ORDER:
                 refine.kpower_stabilize(g, 3)
 
+    def collisions():
+        prime = refine.PRIME
+        refine.PRIME = COLLISION_PRIME
+        try:
+            for _, g in build_corpus(CorpusSpec(quick=True)):
+                if g.n <= COLLISION_MAX_ORDER:
+                    refine.sas_stabilize(g)
+                    refine.wl_stabilize(g)
+        finally:
+            refine.PRIME = prime
+
     def decide(workload, seed: int, op: int):
         w = workloads.WORKLOADS[workload](seed)
         return lambda: w.run(w.inputs(op))
 
-    groups = [("corpus", corpus), ("audit", lambda: validate_suite(CorpusSpec(quick=True)))]
+    groups = [
+        ("corpus", corpus),
+        ("collisions", collisions),
+        ("audit", lambda: validate_suite(CorpusSpec(quick=True))),
+    ]
     for seed in (7, 8):
         groups += [(f"decide-random seed {seed} op {op}", decide("decide-random", seed, op)) for op in (1, 2)]
     for seed in (7, 8):
