@@ -150,7 +150,7 @@ def same_matrix(a: AnyGraph, b: AnyGraph) -> bool:
 
 # ---------------------------------------------------------------------------
 # Interning.  Both helpers number by first encounter: one for int arrays,
-# one dict for any hashable codes.
+# one dict for opaque codes such as walk polynomials and oracle signatures.
 
 def first_encounter_ids(keys: Iterable[Code], ids: dict[Code, int]) -> list[int]:
     """Label each key with its id in `ids`, issuing 1, 2, ... to new keys.

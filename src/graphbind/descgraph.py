@@ -271,8 +271,5 @@ def adjoint_description_graph(a: LabeledGraph, seed: int | None = None) -> Label
         if adj is None:
             continue  # unlucky lambda hit an eigenvalue mod p; resample
         samples.append(adj)
-    codes = [
-        [tuple(sample[i][j] for sample in samples) for j in range(n)]
-        for i in range(n)
-    ]
-    return equivalent_variable_substitution(codes)
+    # A position's code is its tuple of evaluations, one per sample.
+    return equivalent_variable_substitution(first_encounter_relabel(*np.array(samples, dtype=np.int64)))

@@ -5,30 +5,31 @@ multiset of label pairs (or longer walk label multisets) that the symbolic
 matrix product would place there, then performs an equivalent variable
 substitution.  The graph's type chooses the product: a LabeledGraph is
 squared over unordered label pairs (sas), a DirectedLabeledGraph multiplied
-over ordered ones (wl).  The reference rounds `sas_step`, `wl_step` and
-`kpower_step` build those codes explicitly, the first two in one exact round.
+over ordered ones (wl).  `kpower_step` builds its walk codes explicitly.
 
-The stabilization loops of `sas_stabilize` and `wl_stabilize` evaluate the
-symbolic product instead, at random points of the prime field GF(`PRIME`):
-each label is a variable, the square is one float64 matrix product per
-point, and every entry is keyed by its `EVALUATIONS` values and its
-previous label.  Equal multisets always evaluate equal, so an evaluated
-round can only merge classes that the exact round keeps apart
-(Schwartz-Zippel bounds the chance by 2/`PRIME` per point), and it still
-refines its input.  Unless evaluations collide, they alone decide an
-entry's class, so one sort of them numbers the round.  Every round numbers
-its labels 1..d, so the loop reads a round's dimension off its largest
-label, and a round whose entries all differ is stable without another
-round.  The loop checks its fixpoint exactly, once: every label class must
-have identical sorted pair-code rows, built as the exact round builds them
-(`_pair_code_builder`).  A best-effort individualization-refinement search
-(`_automorphisms`) first looks for vertex permutations that preserve every
-label, and verifies each one it returns.  Such a permutation maps each
-entry's pair codes onto its image's term by term, so an entry that one of
-them maps to a smaller position need not be checked; at least one entry of
-every orbit still is.  Where a collision hid a split, the reference round
-runs and refinement continues, so the stable graph returned is always the
-exact one, numbered as the reference rounds number it.
+The sas and wl rounds evaluate the symbolic product at random points of the
+prime field GF(`PRIME`): each label is a variable, the square is one
+float64 matrix product per point, and every entry gets `EVALUATIONS` values.
+Equal multisets always evaluate equal, so evaluations can only merge
+classes that the exact round keeps apart (Schwartz-Zippel bounds the chance
+by 2/`PRIME` per point).  The reference rounds `sas_step` and `wl_step` are
+exact: within each class of equal evaluations they compare the entries'
+sorted pair-code rows, block by block (`_unequal_classes`), and split by
+their rows the classes whose rows differ.  The rounds of `sas_stabilize`
+and `wl_stabilize` key every entry by its evaluations and its previous
+label, so they refine their input; unless evaluations collide, one sort of
+them numbers the round.  Every round numbers its labels 1..d, so the loop
+reads a round's dimension off its largest label, and a round whose entries
+all differ is stable without another round.  The loop checks its fixpoint
+exactly, once, comparing rows as the exact round does.  A best-effort
+individualization-refinement search (`_automorphisms`) first looks for
+vertex permutations that preserve every label, and verifies each one it
+returns.  Such a permutation maps each entry's pair codes onto its image's
+term by term, so an entry that one of them maps to a smaller position need
+not be checked; at least one entry of every orbit still is.  Where a
+collision hid a split, the reference round runs and refinement continues,
+so the stable graph returned is always the exact one, numbered as the
+reference rounds number it.
 
 The numeric first-come-first-served variant that loses exactness -- it feeds
 numbers, not independent variables, into the next product -- is kept as
@@ -125,16 +126,23 @@ def _require_recognizing(g: AnyGraph) -> None:
         raise VertexRecognitionError("input must recognize vertices; seed it first")
 
 
-def _pair_code_builder(g: AnyGraph) -> tuple[Callable, int]:
-    """The builder of the sorted pair-code rows of entries of `g`, and its code size in bytes.
+def _require_evaluable(n: int) -> None:
+    if n > max_evaluated_order():
+        raise GraphError(
+            f"order {n} is too large for exact evaluated rounds: need order * {PRIME}**2 < 2**53"
+        )
 
-    The builder maps row and column indices u, v (an int and a slice, or two
-    index arrays) to one row per entry (u,v): the codes a * stride + b of the
-    label pairs (a, b) = (g[u][k], g[k][v]) over all k, sorted.  A
-    LabeledGraph is squared, so its pairs are unordered and coded smaller
-    label first; a DirectedLabeledGraph is multiplied in order.  Codes are
-    held in the narrowest unsigned type of 16 bits or more that fits them,
-    which halves sorting and interning time or better.
+
+def _pair_code_builder(g: AnyGraph) -> tuple[Callable, int]:
+    """The builder of the sorted pair-code rows of entries of `g`, and its rows per block.
+
+    The builder maps flat positions u * n + v to one row per entry (u,v): the
+    codes a * stride + b of the label pairs (a, b) = (g[u][k], g[k][v]) over
+    all k, sorted.  A LabeledGraph is squared, so its pairs are unordered and
+    coded smaller label first; a DirectedLabeledGraph is multiplied in order.
+    Codes are held in the narrowest unsigned type of 16 bits or more that
+    fits them, which halves sorting time or better.  A block of rows takes
+    about CHECK_BLOCK_BYTES.
     """
     m = _dense_labels(g.labels)
     stride = int(m.max()) + 1
@@ -143,39 +151,103 @@ def _pair_code_builder(g: AnyGraph) -> tuple[Callable, int]:
     symmetric = isinstance(g, LabeledGraph)
     columns = m if symmetric else np.ascontiguousarray(m.T)
 
-    def rows(u, v) -> np.ndarray:
-        a, b = m[u], columns[v]
+    def rows(at: np.ndarray) -> np.ndarray:
+        a, b = m[at // g.n], columns[at % g.n]
         if symmetric:
             a, b = np.minimum(a, b), np.maximum(a, b)
         codes = a * stride + b
         codes.sort(axis=1)
         return codes
 
-    return rows, m.itemsize
+    return rows, max(1, CHECK_BLOCK_BYTES // (m.itemsize * g.n))
+
+
+def _unequal_classes(rows: Callable, block: int, keys: np.ndarray, positions: np.ndarray):
+    """Yield, block by block, the keys of classes whose entries' pair-code rows differ.
+
+    The entry at flat position positions[i] is in class keys[i].  Entries of
+    classes with two or more of them are visited class by class, in blocks
+    of `block` rows (`_pair_code_builder`) that overlap by one, and each row
+    is compared with the row before it in its class.  No yield is empty.
+    """
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    same = np.append(False, keys[1:] == keys[:-1])  # as the entry before
+    in_class = same | np.append(same[1:], False)
+    positions, keys = positions[order[in_class]], keys[in_class]
+    for lo in range(0, positions.size - 1, block):
+        block_keys, block_rows = keys[lo : lo + block + 1], rows(positions[lo : lo + block + 1])
+        differs = (block_rows[1:] != block_rows[:-1]).any(axis=1) & (block_keys[1:] == block_keys[:-1])
+        if differs.any():
+            yield block_keys[1:][differs]
+
+
+def _evaluations(g: AnyGraph, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray | None]:
+    """The evaluations of one round of `g`'s process at random field points.
+
+    Entry (u,v) of the symbolic square of a LabeledGraph is
+    sum_k x[g[u][k]] * x[g[k][v]], with one variable per label; the ordered
+    product of a DirectedLabeledGraph uses independent x and y.  Each point
+    gives one float64 matrix product, exact below 2**53, reduced mod PRIME,
+    and an entry's evaluations pack into one int64 below PRIME**3 < 2**60.
+    A square is symmetric, so only its upper triangle is evaluated, over the
+    returned mask (None for the ordered product): row-major, it meets every
+    value where the full matrix does, so first-encounter ids agree.
+    """
+    m = _dense_labels(g.labels)
+    n = g.n
+    directed = isinstance(g, DirectedLabeledGraph)
+    upper = None if directed else np.triu(np.ones((n, n), dtype=bool))
+    points = rng.integers(0, PRIME, size=(EVALUATIONS, 1 + directed, int(m.max()) + 1))
+    values = None
+    for x in (point.astype(np.float64) for point in points):
+        left = x[0][m]
+        # A symmetric `left` written as left @ left.T takes BLAS's faster
+        # symmetric path.
+        product = left @ (x[1][m] if directed else left.T)
+        del left
+        entries = (product.ravel() if directed else product[upper]).astype(np.int64)
+        del product
+        entries %= PRIME
+        if values is None:
+            values = entries
+        else:
+            values *= PRIME
+            values += entries
+    return values, upper
+
+
+def _mirrored(ids: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """The symmetric matrix whose upper triangle holds `ids`, row-major."""
+    out = np.empty(upper.shape, dtype=np.int64)
+    out[upper] = ids
+    out.T[upper] = ids
+    return out
 
 
 def _exact_round(g: AnyGraph, kind: type) -> AnyGraph:
     """One exact round of the `kind` graph `g`: equal pair-code rows, equal labels.
 
-    Labels are 1, 2, ... by first encounter in row-major order, interned one
-    matrix row at a time.  A square is symmetric in u,v, so a LabeledGraph
-    codes only its upper triangle: traversed row-major, it meets every code
-    in the same order as the full matrix would first.
+    Equal rows always evaluate equal (`_evaluations`), so the classes of
+    equal evaluations can only be coarser than the round's.  Those in which
+    `_unequal_classes` finds differing rows are split by their rows.  Labels
+    are 1, 2, ... by first encounter in row-major order, so they depend only
+    on the partition, not on the points drawn.
     """
     if not isinstance(g, kind):
         raise GraphError(f"this round takes a {kind.__name__}, not a {type(g).__name__}")
     _require_recognizing(g)
-    n = g.n
-    symmetric = isinstance(g, LabeledGraph)
-    rows, _ = _pair_code_builder(g)
-    ids: dict[bytes, int] = {}
-    out = np.empty((n, n), dtype=np.int64)
-    for u in range(n):
-        lo = u if symmetric else 0
-        out[u, lo:] = first_encounter_ids((code.tobytes() for code in rows(u, slice(lo, None))), ids)
-        if symmetric:
-            out[u:, u] = out[u, u:]
-    return kind(out)
+    _require_evaluable(g.n)
+    values, upper = _evaluations(g, np.random.default_rng(EVALUATION_SEED))
+    positions = np.arange(g.n**2) if upper is None else np.flatnonzero(upper)
+    rows, block = _pair_code_builder(g)
+    unequal = [*_unequal_classes(rows, block, values, positions)]
+    split = np.zeros(values.size, dtype=np.int64)
+    if unequal:
+        chosen = np.isin(values, np.concatenate(unequal))
+        split[chosen] = np.unique(rows(positions[chosen]), axis=0, return_inverse=True)[1] + 1
+    ids = first_encounter_relabel(values, split)
+    return kind(ids.reshape(g.n, g.n) if upper is None else _mirrored(ids, upper))
 
 
 def sas_step(g: LabeledGraph) -> LabeledGraph:
@@ -229,49 +301,19 @@ class StabilizationTrace:
 
 
 def _evaluated_round(g: AnyGraph, rng: np.random.Generator) -> np.ndarray:
-    """One round of `g`'s process evaluated at random field points.
+    """One round of `g`'s process evaluated at random field points (`_evaluations`).
 
-    Entry (u,v) of the symbolic square of a LabeledGraph is
-    sum_k x[g[u][k]] * x[g[k][v]], with one variable per label; the ordered
-    product of a DirectedLabeledGraph uses independent x and y.  Each point
-    gives one float64 matrix product, exact below 2**53, reduced mod PRIME,
-    and an entry's evaluations pack into one int64 below PRIME**3 < 2**60.
     Entries are keyed by their evaluations, then their previous label (for
     the ordered product then also the evaluations of the transposed entry,
     which keeps the output converse equivalent even under collisions), and
     numbered 1..d by first encounter in row-major order.  Without a
     collision the evaluations alone decide the key, so the numbering costs
-    one sort (`first_encounter_relabel`).  A square is symmetric, so only its
-    upper triangle is keyed: row-major, it meets every value where the full
-    matrix does.
+    one sort (`first_encounter_relabel`).
     """
-    m = _dense_labels(g.labels)
-    n = g.n
-    directed = isinstance(g, DirectedLabeledGraph)
-    upper = None if directed else np.triu(np.ones((n, n), dtype=bool))
-    points = rng.integers(0, PRIME, size=(EVALUATIONS, 1 + directed, int(m.max()) + 1))
-    values = None
-    for x in points.astype(np.float64):
-        left = x[0][m]
-        # A symmetric `left` written as left @ left.T takes BLAS's faster
-        # symmetric path.
-        product = left @ (x[1][m] if directed else left.T)
-        del left
-        entries = (product.ravel() if directed else product[upper]).astype(np.int64)
-        del product
-        entries %= PRIME
-        if values is None:
-            values = entries
-        else:
-            values *= PRIME
-            values += entries
-    if directed:
-        return first_encounter_relabel(values, m.ravel(), values.reshape(n, n).T).reshape(n, n)
-    ids = first_encounter_relabel(values, m[upper])
-    out = np.empty((n, n), dtype=np.int64)
-    out[upper] = ids
-    out.T[upper] = ids
-    return out
+    values, upper = _evaluations(g, rng)
+    if upper is None:
+        return first_encounter_relabel(values, g.labels, values.reshape(g.n, -1).T).reshape(g.n, -1)
+    return _mirrored(first_encounter_relabel(values, g.labels[upper]), upper)
 
 
 def _refinement_step(labels: np.ndarray, colours: np.ndarray, x: int, stride: int) -> np.ndarray:
@@ -396,25 +438,19 @@ def _exactly_stable(g: AnyGraph) -> bool:
     in one pass per pi.  The least entry of every orbit of the group they
     generate stays, so every entry still meets a checked one of its class.
     The search runs only where the checked entries of classes with two or
-    more of them fill more than one block.  Those entries are visited class
-    by class, in blocks of about CHECK_BLOCK_BYTES, and each row is compared
-    with the row before it in its class.  A class left with one checked
-    entry needs no check.
+    more of them fill more than one block, and they are compared as the
+    exact round compares them (`_unequal_classes`).
     """
     n = g.n
     symmetric = isinstance(g, LabeledGraph)
-    rows, itemsize = _pair_code_builder(g)
-    block = max(1, CHECK_BLOCK_BYTES // (itemsize * n))
+    rows, block = _pair_code_builder(g)
     counts = np.bincount(g.labels.ravel())
     if symmetric:  # the upper triangle holds each off-diagonal entry once
         counts += np.bincount(g.labels.diagonal(), minlength=counts.size)
         counts //= 2
     generators = _automorphisms(g) if counts[counts >= 2].sum() > block else []
     del counts
-    if symmetric:
-        positions = np.flatnonzero(np.triu(np.ones((n, n), dtype=bool)))
-    else:
-        positions = np.arange(n * n)
+    positions = np.flatnonzero(np.triu(np.ones((n, n), dtype=bool))) if symmetric else np.arange(n * n)
     for pi in generators:
         u = pi[positions // n]
         v = pi[positions % n]
@@ -423,27 +459,7 @@ def _exactly_stable(g: AnyGraph) -> bool:
         u *= n
         u += v
         positions = positions[u >= positions]
-    labels = g.labels.ravel()[positions]
-    order = np.argsort(labels, kind="stable")
-    labels = labels[order]
-    shared = labels[1:] == labels[:-1]
-    in_class = np.zeros(labels.size, dtype=bool)
-    in_class[1:] = shared
-    in_class[:-1] |= shared
-    order = positions[order[in_class]]
-    labels = labels[in_class]
-    last_label, last_row = None, None
-    for lo in range(0, order.size, block):
-        entries = order[lo : lo + block]
-        block_labels = labels[lo : lo + block]
-        block_rows = rows(entries // n, entries % n)
-        if block_labels[0] == last_label and not np.array_equal(block_rows[0], last_row):
-            return False
-        same_class = block_labels[1:] == block_labels[:-1]
-        if ((block_rows[1:] != block_rows[:-1]).any(axis=1) & same_class).any():
-            return False
-        last_label, last_row = block_labels[-1], block_rows[-1].copy()
-    return True
+    return next(_unequal_classes(rows, block, g.labels.ravel()[positions], positions), None) is None
 
 
 def _stabilize(g: LabeledGraph, kind: type, exact_step=None) -> StabilizationTrace:
@@ -462,11 +478,8 @@ def _stabilize(g: LabeledGraph, kind: type, exact_step=None) -> StabilizationTra
     each label as numbered, and the fixpoint check would find no class to
     split.  The loop counts that round and returns.
     """
-    if exact_step is None and g.n > max_evaluated_order():
-        raise GraphError(
-            f"order {g.n} is too large for exact evaluated rounds: "
-            f"need order * {PRIME}**2 < 2**53"
-        )
+    if exact_step is None:
+        _require_evaluable(g.n)
     rng = np.random.default_rng(EVALUATION_SEED)
     seeded = seed_recognize_vertices(g)
     current = seeded if kind is LabeledGraph else kind(seeded.labels)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -292,13 +294,19 @@ class TestSasStep:
                                 codes[u][v] == codes[r][s]
                             )
 
-    def test_numbering_matches_definitional_oracle(self):
-        for seed in range(4):
-            g = seed_recognize_vertices(random_graph(7, 0.5, seed=200 + seed))
-            for _ in range(2):
-                out = sas_step(g)
-                assert np.array_equal(out.labels, numbered(brute_pair_codes(g)))
-                g = out
+    def test_numbering_matches_definitional_oracle(self, monkeypatch):
+        import graphbind.refine as refine
+
+        # Over GF(2) and GF(3) the round's evaluations merge classes, which
+        # it must split by their pair-code rows.
+        for prime in (PRIME, 2, 3):
+            monkeypatch.setattr(refine, "PRIME", prime)
+            for seed in range(4):
+                g = seed_recognize_vertices(random_graph(7, 0.5, seed=200 + seed))
+                for _ in range(2):
+                    out = sas_step(g)
+                    assert np.array_equal(out.labels, numbered(brute_pair_codes(g)))
+                    g = out
 
     def test_labels_of_2_to_the_31_and_above(self):
         g = LabeledGraph(WIDE_LABELS)
@@ -336,13 +344,18 @@ class TestWlStep:
         out = wl_step(g)
         assert out.labels[0, 1] != out.labels[1, 0]
 
-    def test_numbering_matches_definitional_oracle(self):
-        for seed in range(4):
-            g = DirectedLabeledGraph(seed_recognize_vertices(random_graph(7, 0.5, seed=300 + seed)).labels)
-            for _ in range(2):
-                out = wl_step(g)
-                assert np.array_equal(out.labels, numbered(brute_ordered_pair_codes(g)))
-                g = out
+    def test_numbering_matches_definitional_oracle(self, monkeypatch):
+        import graphbind.refine as refine
+
+        for prime in (PRIME, 2, 3):  # as for sas_step
+            monkeypatch.setattr(refine, "PRIME", prime)
+            for seed in range(4):
+                seeded = seed_recognize_vertices(random_graph(7, 0.5, seed=300 + seed))
+                g = DirectedLabeledGraph(seeded.labels)
+                for _ in range(2):
+                    out = wl_step(g)
+                    assert np.array_equal(out.labels, numbered(brute_ordered_pair_codes(g)))
+                    g = out
 
     def test_labels_of_2_to_the_31_and_above(self):
         g = DirectedLabeledGraph(WIDE_LABELS)
@@ -379,6 +392,23 @@ class TestWlStep:
                 for u in range(6)
             ]
             assert is_equivalent(equivalent_variable_substitution(summed), sas_step(g))
+
+
+def test_reference_rounds_on_order_325_stable_graphs_stay_under_16_mb():
+    # The stable binding graphs of a random n = 12 YES pair and NO pair:
+    # interning one key per distinct pair-code row would take 40-300 MB.
+    a = random_connected_graph(12, 0.5, seed=12)
+    for b in (permuted(a, random_permutation(12, seed=13)), random_connected_graph(12, 0.5, seed=14)):
+        bound = binding_graph(wing_graph(a, b)).graph
+        for stabilize, step in ((sas_stabilize, sas_step), (wl_stabilize, wl_step)):
+            stable = stabilize(bound).stable
+            tracemalloc.start()
+            try:
+                step(stable)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 16 * 2**20, (step.__name__, peak)
 
 
 class TestKPower:

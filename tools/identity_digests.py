@@ -16,7 +16,11 @@ lines stabilize every input identically, label for label.
 Groups: the audit's quick corpus (kpower with k = 3 for order <= 8 only);
 `collisions`, sas and wl on the quick corpus of order <= 8 with
 `refine.PRIME` set to 3, where evaluations collide often, so that the
-interner's collision path and the fallback to the exact round run; one
+interner's collision path and the fallback to the exact round run;
+`reference rounds`, the labels of `sas_step` and `wl_step` applied directly
+to each seeded quick-corpus graph of order <= 8 and to its next two
+iterates, once at the default `refine.PRIME` and once at 3, where the exact
+round's evaluations merge classes that it must split by their rows; one
 `audit` op; `decide-random` ops 1-2 at seeds 7 and 8; and `decide-srg` op 1
 at seeds 7 and 8.
 
@@ -137,6 +141,27 @@ def main(argv: list[str] | None = None) -> int:
         finally:
             refine.PRIME = prime
 
+    def reference_rounds():
+        from graphbind.core import DirectedLabeledGraph
+
+        prime = refine.PRIME
+        try:
+            for refine_prime in (prime, COLLISION_PRIME):
+                refine.PRIME = refine_prime
+                for _, g in build_corpus(CorpusSpec(quick=True)):
+                    if g.n > COLLISION_MAX_ORDER:
+                        continue
+                    seeded = refine.seed_recognize_vertices(g)
+                    for step, current in (
+                        (refine.sas_step, seeded),
+                        (refine.wl_step, DirectedLabeledGraph(seeded.labels)),
+                    ):
+                        for _ in range(3):
+                            current = step(current)
+                            records.append(hashlib.sha256(current.labels.tobytes()).hexdigest())
+        finally:
+            refine.PRIME = prime
+
     def decide(workload, seed: int, op: int):
         w = workloads.WORKLOADS[workload](seed)
         return lambda: w.run(w.inputs(op))
@@ -144,6 +169,7 @@ def main(argv: list[str] | None = None) -> int:
     groups = [
         ("corpus", corpus),
         ("collisions", collisions),
+        ("reference rounds", reference_rounds),
         ("audit", lambda: validate_suite(CorpusSpec(quick=True))),
     ]
     for seed in (7, 8):
