@@ -44,13 +44,16 @@ class BindingGraph:
             raise GraphError(f"binding graph of {n} basic vertices has order {n1}")
         if len(self.binder) != n * (n - 1) // 2:
             raise GraphError("binder must map every unordered basic pair")
-        m = self.graph.labels
-        for (u, v), p in self.binder.items():
-            if not (0 <= u < v < n and n <= p < n1):
+        u, v, p = np.array([(*pair, p) for pair, p in self.binder.items()], dtype=np.int64).reshape(-1, 3).T
+        in_range = (0 <= u) & (u < v) & (v < n) & (n <= p) & (p < n1)
+        at_p, at_u, at_v = np.where(in_range, (p, u, v), 0)  # in bounds, to be read
+        edges = self.graph.labels != BLANK
+        bound = in_range & edges[at_p, at_u] & edges[at_p, at_v] & (np.count_nonzero(edges, axis=1)[at_p] == 2)
+        if not bound.all():
+            i = int(np.argmin(bound))  # the first failing binder, in the dict's order
+            if not in_range[i]:
                 raise GraphError("binder indices out of range")
-            neighbors = np.flatnonzero(m[p] != BLANK)
-            if sorted(neighbors.tolist()) != sorted([u, v]):
-                raise GraphError(f"binding vertex {p} must be adjacent to exactly {{{u},{v}}}")
+            raise GraphError(f"binding vertex {p[i]} must be adjacent to exactly {{{u[i]},{v[i]}}}")
 
     @property
     def n1(self) -> int:
@@ -83,13 +86,10 @@ def _bind(basic: np.ndarray) -> BindingGraph:
     n1 = n * (n + 1) // 2
     out = np.zeros((n1, n1), dtype=np.int64)
     out[:n, :n] = basic
-    binder: dict[tuple[int, int], int] = {}
-    for u in range(n):
-        for v in range(u + 1, n):
-            p = n + pair_rank(u, v, n)
-            binder[(u, v)] = p
-            out[u, p] = out[p, u] = 1
-            out[v, p] = out[p, v] = 1
+    u, v = np.triu_indices(n, 1)  # row-major, the lexicographic order of `pair_rank`
+    p = np.arange(n, n1)
+    out[u, p] = out[p, u] = out[v, p] = out[p, v] = 1
+    binder = dict(zip(zip(u.tolist(), v.tolist()), p.tolist()))
     return BindingGraph(graph=LabeledGraph(out), basic_n=n, binder=binder)
 
 

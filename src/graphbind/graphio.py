@@ -183,12 +183,9 @@ def _parse_edgelist(text: str) -> LabeledGraph:
 def _emit_edgelist(g: LabeledGraph) -> str:
     if (g.labels > 1).any() or (g.labels.diagonal() != BLANK).any():
         raise GraphError("edgelist encodes simple 0/1 graphs only")
-    lines = [str(g.n)]
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if g.labels[u, v] != BLANK:
-                lines.append(f"{u + 1} {v + 1}")
-    return "\n".join(lines) + "\n"
+    u, v = np.nonzero(np.triu(g.labels != BLANK, 1))
+    names = np.array([str(k) for k in range(1, g.n + 1)], dtype=object)
+    return "\n".join([str(g.n), *map(" ".join, zip(names[u], names[v]))]) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -20,10 +20,11 @@ and `wl_stabilize` key every entry by its evaluations and its previous
 label, so they refine their input; unless evaluations collide, one sort of
 them numbers the round.  Every round numbers its labels 1..d, so the loop
 reads a round's dimension off its largest label, and a round whose entries
-all differ is stable without another round.  The loop checks its fixpoint
-exactly, once, comparing rows as the exact round does.  A best-effort
-individualization-refinement search (`_automorphisms`) first looks for
-vertex permutations that preserve every label, and verifies each one it
+all differ is stable without another round.  Every other round that grows
+the dimension is checked exactly, the diagonal entries' rows first, and a
+stable iterate is returned at once.  Before comparing every class, a
+best-effort individualization-refinement search (`_automorphisms`) looks
+for vertex permutations that preserve every label, and verifies each one it
 returns.  Such a permutation maps each entry's pair codes onto its image's
 term by term, so an entry that one of them maps to a smaller position need
 not be checked; at least one entry of every orbit still is.  Where a
@@ -429,8 +430,10 @@ def _exactly_stable(g: AnyGraph) -> bool:
     """True iff the exact round would split no label class of `g`.
 
     Labels are at most n*n, as every round numbers them.  Entries of one
-    class must have equal sorted pair-code rows (`_pair_code_builder`).  For
-    symmetric graphs the upper triangle suffices, since (u,v) and (v,u)
+    class must have equal sorted pair-code rows (`_pair_code_builder`).  The
+    n diagonal entries go first, keyed by their labels: short of stable,
+    some class of them nearly always splits.  Then every class is checked;
+    for symmetric graphs the upper triangle suffices, since (u,v) and (v,u)
     share a code.  For every automorphism pi of `g` that `_automorphisms`
     returns, entry (pi u, pi v) has the label and, term by term, the pair
     codes of (u,v); so every entry that some pi maps to a smaller position
@@ -438,12 +441,14 @@ def _exactly_stable(g: AnyGraph) -> bool:
     in one pass per pi.  The least entry of every orbit of the group they
     generate stays, so every entry still meets a checked one of its class.
     The search runs only where the checked entries of classes with two or
-    more of them fill more than one block, and they are compared as the
-    exact round compares them (`_unequal_classes`).
+    more of them fill more than one block.  Rows are compared as the exact
+    round compares them (`_unequal_classes`).
     """
     n = g.n
     symmetric = isinstance(g, LabeledGraph)
     rows, block = _pair_code_builder(g)
+    if next(_unequal_classes(rows, block, g.labels.diagonal(), np.arange(n) * (n + 1)), None) is not None:
+        return False
     counts = np.bincount(g.labels.ravel())
     if symmetric:  # the upper triangle holds each off-diagonal entry once
         counts += np.bincount(g.labels.diagonal(), minlength=counts.size)
@@ -467,16 +472,14 @@ def _stabilize(g: LabeledGraph, kind: type, exact_step=None) -> StabilizationTra
 
     With `exact_step`, every round is that exact round.  Without it, rounds
     are evaluated (`_evaluated_round`): they refine their input but may
-    refine it less than the exact round.  So at their fixpoint the graph is
-    checked exactly, and if the exact round would split a class, the
-    reference round of the graph's process (`sas_step` or `wl_step`) takes
-    that round and refinement continues.
-
-    Every round numbers its labels 1..d, so its dim is its largest label.
-    A round that makes every entry its own class (every unordered pair of
-    vertices, for a symmetric `kind`) is stable: the next round would keep
-    each label as numbered, and the fixpoint check would find no class to
-    split.  The loop counts that round and returns.
+    refine it less than the exact round, so every round that grows the
+    dimension is checked exactly (`_exactly_stable`).  A stable graph is
+    returned at once, counting the round that would only number its
+    partition the same way again; so is a discrete one (every entry, or
+    every unordered pair for a symmetric `kind`, its own class), unchecked.
+    A round that keeps the dimension of a graph short of stable met a
+    collision, and the reference round (`sas_step` or `wl_step`) takes its
+    place.  Every round numbers its labels 1..d; its dim is its largest.
     """
     if exact_step is None:
         _require_evaluable(g.n)
@@ -493,11 +496,11 @@ def _stabilize(g: LabeledGraph, kind: type, exact_step=None) -> StabilizationTra
             # Dimension fixpoint implies equivalence; assert it once.
             if not is_equivalent(current, refined):
                 raise AssertionError("dimension fixpoint without equivalence; refinement is broken")
-            if exact_step or _exactly_stable(refined):
+            if exact_step or rounds == 1 and _exactly_stable(refined):  # later ones failed the check
                 return StabilizationTrace(stable=refined, rounds=rounds, dims=dims)
             refined = (sas_step if kind is LabeledGraph else wl_step)(refined)
             dims[-1] = int(refined.labels.max())
-        elif dims[-1] == discrete:
+        if dims[-1] == discrete or not exact_step and _exactly_stable(refined):
             dims.append(dims[-1])
             return StabilizationTrace(stable=refined, rounds=rounds + 1, dims=dims)
         current = refined

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from graphbind.binding import (
+    BindingGraph,
     binding_graph,
     build_phi,
     build_psi,
@@ -92,6 +93,24 @@ class TestBindingGraph:
     def test_pair_rank_is_lexicographic(self):
         ranks = [pair_rank(u, v, 4) for u in range(4) for v in range(u + 1, 4)]
         assert ranks == list(range(6))
+        b = binding_graph(complete_graph(4))
+        assert b.binder == {(u, v): 4 + pair_rank(u, v, 4) for u in range(4) for v in range(u + 1, 4)}
+
+    def test_rejects_an_inconsistent_binder(self):
+        b = binding_graph(complete_graph(4))
+
+        def rebuilt(changes: dict, basic_n: int = 4) -> BindingGraph:
+            return BindingGraph(graph=b.graph, basic_n=basic_n, binder={**b.binder, **changes})
+
+        with pytest.raises(GraphError, match="^binding graph of 5 basic vertices has order 15$"):
+            rebuilt({}, basic_n=5)
+        with pytest.raises(GraphError, match="^binder must map every unordered basic pair$"):
+            rebuilt({(0, 0): 4})
+        with pytest.raises(GraphError, match="^binder indices out of range$"):
+            rebuilt({(2, 3): 10})
+        # The first inconsistent pair in the binder's order is reported.
+        with pytest.raises(GraphError, match=r"^binding vertex 5 must be adjacent to exactly \{0,1\}$"):
+            rebuilt({(0, 1): 5, (0, 2): 4, (2, 3): 10})
 
 
 class TestWingGraph:

@@ -27,6 +27,20 @@ class TestEdgelist:
         write_graph(g, path, "edgelist")
         assert np.array_equal(read_graph(path, "edgelist").labels, g.labels)
 
+    def test_writer_matches_the_pairwise_loop(self):
+        def by_loop(g):
+            lines = [str(g.n)]
+            for u in range(g.n):
+                for v in range(u + 1, g.n):
+                    if g.labels[u, v]:
+                        lines.append(f"{u + 1} {v + 1}")
+            return "\n".join(lines) + "\n"
+
+        assert dumps_graph(cycle_graph(4), "edgelist") == "4\n1 2\n1 4\n2 3\n3 4\n"
+        for n in (1, 2, 5, 7, 62, 300):
+            g = random_graph(n, 0.5, seed=n)
+            assert dumps_graph(g, "edgelist") == by_loop(g)
+
     def test_error_carries_line(self):
         with pytest.raises(ParseError) as err:
             loads_graph("3\n1 2\n2 x\n", "edgelist")

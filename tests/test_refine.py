@@ -24,6 +24,7 @@ from graphbind.core import (
 )
 from graphbind.corpus import (
     complete_graph,
+    cycle_graph,
     from_edges,
     path_graph,
     petersen_graph,
@@ -544,12 +545,40 @@ class TestEvaluatedRounds:
                 evaluated.clear()
                 trace = stabilize(bound)
                 self.assert_identical(trace, exact(bound))
-                # A discrete graph is returned without the round that would
-                # confirm it; the trace still counts that round.
-                is_discrete = trace.dims[-1] == entries
-                discrete[name] += is_discrete
-                assert len(evaluated) == trace.rounds - is_discrete
+                # A stable graph, discrete or not, is returned without the
+                # round that would confirm it; the trace still counts that round.
+                discrete[name] += trace.dims[-1] == entries
+                assert len(evaluated) == trace.rounds - 1
         assert discrete["sas"] > 0 and discrete["wl"] > 0
+
+    def test_diagonal_pass_only_rejects(self):
+        # Every vertex of the seeded 6-cycle meets the others alike, so all
+        # diagonal rows agree; but the non-adjacent pairs at distance 2 and
+        # at distance 3 share a label and not their common neighbours.
+        import graphbind.refine as refine
+
+        seeded = seed_recognize_vertices(cycle_graph(6))
+        diagonal = np.arange(6) * 7
+        for g in (seeded, DirectedLabeledGraph(seeded.labels)):
+            rows, block = refine._pair_code_builder(g)
+            assert next(refine._unequal_classes(rows, block, g.labels.diagonal(), diagonal), None) is None
+            assert not _exactly_stable(g)
+
+    def test_one_search_and_no_confirming_round_on_the_srg_binding_graph(self, monkeypatch):
+        # Shrikhande against the rook graph (N = 561): the diagonal pass turns
+        # away every iterate short of stable, so the automorphism search runs
+        # at most once, and no round is spent confirming the stable graph.
+        import graphbind.refine as refine
+
+        bound = binding_graph(wing_graph(shrikhande_graph(), rook_graph_4x4())).graph
+        evaluated = recorded_outputs(monkeypatch, refine, "_evaluated_round")
+        searches = recorded_outputs(monkeypatch, refine, "_automorphisms")
+        for stabilize in (sas_stabilize, wl_stabilize):
+            evaluated.clear()
+            searches.clear()
+            trace = stabilize(bound)
+            assert len(searches) <= 1
+            assert len(evaluated) == trace.rounds - 1
 
     def test_every_round_numbers_its_labels_one_to_dim(self, monkeypatch):
         import graphbind.refine as refine
@@ -712,9 +741,8 @@ class TestAutomorphismSearch:
 
     def test_broken_cell_swap_gets_no_generator_and_is_rejected(self, monkeypatch):
         # Vertices 1 and 2 form a two-vertex cell, but vertex 0 meets them by
-        # different labels: the swap is no automorphism, and trusting it
-        # would hide that (1,1) and (2,2) have different pair codes.  With
-        # one-byte blocks the check runs the search on this graph too.
+        # different labels: the swap is no automorphism.  The check's
+        # diagonal pass finds that (1,1) and (2,2) have different pair codes.
         import graphbind.refine as refine
 
         m = np.array([[3, 1, 2], [1, 4, 0], [2, 0, 4]])
