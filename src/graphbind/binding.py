@@ -72,10 +72,10 @@ def pair_rank(u: int, v: int, n: int) -> int:
     return u * n - u * (u + 1) // 2 + (v - u - 1)
 
 
-def _normalized_simple(a: LabeledGraph, *, connected: bool = True) -> np.ndarray:
+def _normalized_simple(a: LabeledGraph) -> np.ndarray:
     if not is_simple(a):
         raise GraphError("input must be a simple graph (blank diagonal, one edge label)")
-    if connected and not is_connected(a):
+    if not is_connected(a):
         raise GraphError("input must be connected")
     return (a.labels != BLANK).astype(np.int64)
 

@@ -16,7 +16,7 @@ from .binding import binding_graph, build_phi, build_psi, build_theta
 from .core import DirectedLabeledGraph, GraphError, LabeledGraph
 from .decide import DEFAULT_MAX_BINDING_ORDER, gi_decide
 from .descgraph import adjoint_description_graph, gamma_description_graph, spectral_description_graph
-from .graphio import FORMATS, guess_format, read_graph, write_directed_graph, write_graph
+from .graphio import FORMATS, guess_format, read_graph, write_graph
 from .oracle import automorphism_orbits, is_isomorphic_bruteforce
 from .partition import partition_json
 from .refine import kpower_stabilize, sas_stabilize, wl_stabilize
@@ -29,12 +29,9 @@ def _read(path: str, fmt: str | None) -> LabeledGraph:
 
 def _write(g, path: str, fmt: str | None) -> None:
     fmt = fmt or guess_format(path)
-    if isinstance(g, DirectedLabeledGraph):
-        if fmt != "matrix-json":
-            raise GraphError("directed outputs are written as matrix-json only")
-        write_directed_graph(g, path)
-    else:
-        write_graph(g, path, fmt)
+    if isinstance(g, DirectedLabeledGraph) and fmt != "matrix-json":
+        raise GraphError("directed outputs are written as matrix-json only")
+    write_graph(g, path, fmt)
 
 
 def _add_io_arguments(parser: argparse.ArgumentParser, output: bool = True) -> None:

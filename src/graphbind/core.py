@@ -150,7 +150,7 @@ def same_matrix(a: AnyGraph, b: AnyGraph) -> bool:
 
 # ---------------------------------------------------------------------------
 # Interning.  Both helpers number by first encounter: one for int arrays,
-# one dict for opaque codes such as walk polynomials and oracle signatures.
+# one dict for opaque codes such as walk polynomials.
 
 def first_encounter_ids(keys: Iterable[Code], ids: dict[Code, int]) -> list[int]:
     """Label each key with its id in `ids`, issuing 1, 2, ... to new keys.
@@ -209,6 +209,25 @@ def first_encounter_relabel(arr: np.ndarray, *tied: np.ndarray) -> np.ndarray:
             group += t
             group = first_encounter_relabel(group)
     return group.reshape(arr.shape)
+
+
+def refine_colours(labels: np.ndarray, colours: np.ndarray) -> np.ndarray:
+    """One exact round of colour refinement (McKay & Piperno, "Practical graph
+    isomorphism, II", 2014): the ranks 0, 1, ... of the vertices' keys.
+
+    Vertex v's key is colours[v], then the sorted multiset of
+    (colours[w], labels[v, w]) over all w.  Ranks follow the keys, not first
+    encounter, so they refine the colours, compare across graphs, and only
+    permute when the vertices are renumbered.  Colours and labels are
+    non-negative with (colours.max() + 1) * (labels.max() + 1) in int64, as
+    for labels below n * n (`first_encounter_relabel`) and colours below that.
+    """
+    keys = np.column_stack((colours, np.sort(colours * (int(labels.max()) + 1) + labels, axis=1)))
+    order = np.lexsort(keys.T[::-1])
+    keys = keys[order]
+    ranks = np.empty(colours.size, dtype=np.int64)
+    ranks[order] = np.cumsum(np.append(True, (keys[1:] != keys[:-1]).any(axis=1))) - 1
+    return ranks
 
 
 def equivalent_variable_substitution(codes: Sequence[Sequence[Code]] | np.ndarray) -> LabeledGraph:

@@ -87,21 +87,16 @@ def gi_decide(
     basic_count = 2 * n + 1
     anomalies = []
     basic_cells: list[list[int]] = []
-    apex_cell: list[int] | None = None
     for cell in partition.cells:
         members = list(cell)
-        kinds = {v < basic_count for v in members}
-        if len(kinds) > 1:
+        if len({v < basic_count for v in members}) > 1:
             anomalies.append(f"cell mixes basic and binding vertices: {members}")
         if apex in members:
-            apex_cell = members
             if members != [apex]:
                 anomalies.append(f"apex cell is not a singleton: {members}")
             continue
         if any(v < basic_count for v in members):
             basic_cells.append(members)
-    if apex_cell is None:
-        anomalies.append("apex vertex lost its cell")
 
     unmixed = [
         cell

@@ -12,7 +12,7 @@ from typing import Literal
 
 import numpy as np
 
-from .core import BLANK, DirectedLabeledGraph, GraphError, LabeledGraph
+from .core import BLANK, AnyGraph, DirectedLabeledGraph, GraphError, LabeledGraph
 from .refine import max_evaluated_order
 
 Format = Literal["graph6", "edgelist", "matrix-json"]
@@ -43,7 +43,8 @@ def read_graph(path: str | os.PathLike, format: Format) -> LabeledGraph:
     return loads_graph(_read_ascii(path), format)
 
 
-def write_graph(g: LabeledGraph, path: str | os.PathLike, format: Format) -> None:
+def write_graph(g: AnyGraph, path: str | os.PathLike, format: Format) -> None:
+    """Write `g` in `format`; of the formats only matrix-json carries a directed graph."""
     with open(path, "w", encoding="ascii") as fh:
         fh.write(dumps_graph(g, format))
 
@@ -217,9 +218,3 @@ def _parse_matrix_json(text: str) -> LabeledGraph:
 def read_directed_graph(path: str | os.PathLike) -> DirectedLabeledGraph:
     """matrix-json reader for possibly asymmetric (converse-equivalent) matrices."""
     return DirectedLabeledGraph(_matrix_json_labels(_read_ascii(path)))
-
-
-def write_directed_graph(g: DirectedLabeledGraph, path: str | os.PathLike) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump({"n": g.n, "labels": g.labels.tolist()}, fh)
-        fh.write("\n")

@@ -1,18 +1,18 @@
 """Ground-truth isomorphism and automorphism orbits by backtracking search.
 
-These oracles audit the refinement machinery, so they use none of it.  The
-search takes its candidate images from a colour refinement computed here,
-the classical invariant partition used to prune isomorphism search (McKay &
-Piperno, "Practical graph isomorphism, II", 2014).  Every isomorphism maps
-a vertex to one of the same colour, so restricting the candidates to equal
-colours never drops a witness.
+These oracles audit the refinement machinery, so they import only `core`.
+The search takes its candidate images from the stable colour refinement
+(rounds of `core.refine_colours`), the classical invariant partition used
+to prune isomorphism search (McKay & Piperno, "Practical graph isomorphism,
+II", 2014).  Every isomorphism maps a vertex to one of the same colour, so
+restricting the candidates to equal colours never drops a witness.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import GraphError, LabeledGraph, Partition, first_encounter_ids
+from .core import GraphError, LabeledGraph, Partition, first_encounter_relabel, refine_colours
 
 SEARCH_BOUND = 16
 
@@ -28,23 +28,15 @@ def _check_bound(n: int, max_n: int | None) -> None:
 
 
 def _colours(labels: np.ndarray) -> list[int]:
-    """Stable colour refinement of a label matrix.
-
-    Colours start from the diagonal labels.  A vertex's next colour is its
-    colour plus the sorted multiset of (colour of w, label(v, w)) over all w;
-    refinement repeats until no class splits.
-    """
-    rows = labels.tolist()
-    colours = [row[v] for v, row in enumerate(rows)]
-    classes = len(set(colours))
+    """Stable colour refinement from the diagonal, by `refine_colours` on labels below n * n."""
+    lo, hi = int(labels.min()), int(labels.max())
+    labels = labels - lo if hi - lo < labels.size else first_encounter_relabel(labels)
+    refined = labels.diagonal()
     while True:
-        signatures = [(colours[v], tuple(sorted(zip(colours, row)))) for v, row in enumerate(rows)]
-        ids: dict = {}
-        refined = first_encounter_ids(signatures, ids)
-        # A new colour extends the old one, so classes only split.
-        if len(ids) == classes:
-            return colours
-        colours, classes = refined, len(ids)
+        colours, refined = refined, refine_colours(labels, refined)
+        # Ranks only split classes, so with as many classes none split.
+        if refined.max() + 1 == len(set(colours.tolist())):
+            return refined.tolist()
 
 
 def _search(

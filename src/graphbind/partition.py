@@ -1,4 +1,7 @@
-"""Vertex partitions of labeled graphs and (strong) equitability checks."""
+"""Vertex partitions of labeled graphs and (strong) equitability checks.
+
+Equitability is a colour refinement round (`core.refine_colours`) that splits no cell.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +9,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import AnyGraph, GraphError, LabeledGraph, Partition, permuted, same_matrix
+from .core import AnyGraph, GraphError, LabeledGraph, Partition, first_encounter_relabel, is_imbedded
+from .core import permuted, refine_colours, same_matrix
 
 
 def vertex_partition(g: AnyGraph) -> Partition:
@@ -28,19 +32,15 @@ def is_equitable(g: AnyGraph, p: Partition) -> bool:
 
     For every ordered pair of cells (C, D), the multiset of labels from a
     vertex of C into D must be independent of the chosen vertex (the
-    diagonal entry is included when the vertex lies in D).
+    diagonal entry is included when the vertex lies in D), and so must the
+    multiset of labels from D into it: a refinement round from the cells keys
+    each vertex by these multisets, on the matrix and on its transpose.
     """
     _check_partition(g, p)
-    matrices = [g.labels]
-    if not np.array_equal(g.labels, g.labels.T):
-        matrices.append(np.ascontiguousarray(g.labels.T))
-    for m in matrices:
-        for src in p.cells:
-            for dst in p.cells:
-                block = np.sort(m[np.ix_(src, dst)], axis=1)
-                if not (block == block[0]).all():
-                    return False
-    return True
+    cells = p.cell_of()
+    labels = first_encounter_relabel(g.labels)
+    matrices = (labels,) if np.array_equal(labels, labels.T) else (labels, labels.T)
+    return all(refine_colours(m, cells).max() == cells.max() for m in matrices)
 
 
 def is_strongly_equitable(g: AnyGraph, p: Partition) -> bool:
@@ -50,17 +50,9 @@ def is_strongly_equitable(g: AnyGraph, p: Partition) -> bool:
     (same-cell blocks count as a pair with itself), so labels on edges
     between different cell pairs never overlap.
     """
-    if not is_equitable(g, p):
-        return False
-    m = g.labels
-    owner: dict[int, tuple[int, int]] = {}
-    for i, src in enumerate(p.cells):
-        for j, dst in enumerate(p.cells[i:], start=i):
-            pair = (i, j)
-            for label in np.unique(m[np.ix_(src, dst)]).tolist():
-                if owner.setdefault(label, pair) != pair:
-                    return False
-    return True
+    cells = p.cell_of()
+    pairs = np.minimum.outer(cells, cells) * len(p.cells) + np.maximum.outer(cells, cells)
+    return is_equitable(g, p) and is_imbedded(LabeledGraph(pairs), g)
 
 
 def block_commutant_check(y: LabeledGraph, x: Sequence[int]) -> bool:

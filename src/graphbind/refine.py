@@ -199,9 +199,11 @@ def _evaluations(g: AnyGraph, rng: np.random.Generator) -> tuple[np.ndarray, np.
     n = g.n
     directed = isinstance(g, DirectedLabeledGraph)
     upper = None if directed else np.triu(np.ones((n, n), dtype=bool))
-    points = rng.integers(0, PRIME, size=(EVALUATIONS, 1 + directed, int(m.max()) + 1))
+    size = (1 + directed, int(m.max()) + 1)
     values = None
-    for x in (point.astype(np.float64) for point in points):
+    for _ in range(EVALUATIONS):
+        # Drawn as used: the same values as one draw of every point, a third of the memory.
+        x = rng.integers(0, PRIME, size=size).astype(np.float64)
         left = x[0][m]
         # A symmetric `left` written as left @ left.T takes BLAS's faster
         # symmetric path.
@@ -315,6 +317,16 @@ def _evaluated_round(g: AnyGraph, rng: np.random.Generator) -> np.ndarray:
     if upper is None:
         return first_encounter_relabel(values, g.labels, values.reshape(g.n, -1).T).reshape(g.n, -1)
     return _mirrored(first_encounter_relabel(values, g.labels[upper]), upper)
+
+
+def _unchecked(kind: type, labels: np.ndarray) -> AnyGraph:
+    """A `kind` graph over int64 `labels` valid by construction, built unchecked:
+    the seeded graph, or an evaluated round's ids from 1, which are symmetric
+    (`_mirrored`) or key each entry by its transposed entry's evaluations."""
+    g = object.__new__(kind)
+    labels.setflags(write=False)
+    object.__setattr__(g, "labels", labels)
+    return g
 
 
 def _refinement_step(labels: np.ndarray, colours: np.ndarray, x: int, stride: int) -> np.ndarray:
@@ -484,13 +496,12 @@ def _stabilize(g: LabeledGraph, kind: type, exact_step=None) -> StabilizationTra
     if exact_step is None:
         _require_evaluable(g.n)
     rng = np.random.default_rng(EVALUATION_SEED)
-    seeded = seed_recognize_vertices(g)
-    current = seeded if kind is LabeledGraph else kind(seeded.labels)
+    current = _unchecked(kind, seed_recognize_vertices(g).labels)
     round_bound = g.n * (g.n + 1) // 2 + 1
     discrete = g.n * (g.n + 1) // 2 if kind is LabeledGraph else g.n * g.n
     dims = [dim(current)]
     for rounds in range(1, round_bound + 1):
-        refined = exact_step(current) if exact_step else kind(_evaluated_round(current, rng))
+        refined = exact_step(current) if exact_step else _unchecked(kind, _evaluated_round(current, rng))
         dims.append(int(refined.labels.max()))
         if dims[-1] == dims[-2]:
             # Dimension fixpoint implies equivalence; assert it once.

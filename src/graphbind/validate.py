@@ -23,11 +23,13 @@ from .core import (
     LabeledGraph,
     dim,
     equivalent_variable_substitution,
+    first_encounter_relabel,
     is_connected,
     is_equivalent,
     is_imbedded,
     is_simple,
     permuted,
+    refine_colours,
 )
 from .corpus import (
     NAMED_GRAPHS,
@@ -295,13 +297,9 @@ def partition_properties(g: LabeledGraph) -> list[str]:
     singletons = [cell[0] for cell in part.cells if len(cell) == 1]
     if any(len(set(m[u, list(other)].tolist())) != 1 for u in singletons for other in part.cells):
         details.append("singleton cells must see constant labels per cell")
-    diag = m.diagonal()
-    rows = np.sort(m, axis=1)
-    if any(
-        (diag[u] == diag[v]) != bool((rows[u] == rows[v]).all())
-        for u in range(g.n)
-        for v in range(u + 1, g.n)
-    ):
+    # From one colour, a refinement round ranks the vertices by their sorted rows.
+    rows = refine_colours(first_encounter_relabel(m), np.zeros(g.n, dtype=np.int64))
+    if not np.array_equal(first_encounter_relabel(m.diagonal()), first_encounter_relabel(rows)):
         details.append("diagonal labels must match exactly when rows match")
     return details
 

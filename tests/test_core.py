@@ -26,6 +26,7 @@ from graphbind.core import (
     is_imbedded,
     is_simple,
     permuted,
+    refine_colours,
 )
 
 
@@ -377,3 +378,107 @@ class TestPartitionType:
         coarse = Partition.from_cells([[0, 1], [2, 3]])
         assert fine.refines(coarse)
         assert not coarse.refines(fine)
+
+
+def signature_colours(labels: np.ndarray) -> list[int]:
+    """Stable colour refinement by tuple signatures interned in a dict.
+
+    The oracle's own refinement before `refine_colours`, kept as the
+    reference: colours start from the diagonal labels, and a vertex's next
+    colour is its colour plus the sorted multiset of (colour of w,
+    label(v, w)) over all w, until no class splits.
+    """
+    rows = labels.tolist()
+    colours = [row[v] for v, row in enumerate(rows)]
+    classes = len(set(colours))
+    while True:
+        signatures = [(colours[v], tuple(sorted(zip(colours, row)))) for v, row in enumerate(rows)]
+        ids: dict = {}
+        refined = first_encounter_ids(signatures, ids)
+        if len(ids) == classes:
+            return colours
+        colours, classes = refined, len(ids)
+
+
+def ranked_by_python_keys(labels: np.ndarray, colours: np.ndarray) -> list[int]:
+    """One round from its definition: each vertex's rank among the sorted distinct keys."""
+    keys = [(c, tuple(sorted(zip(colours.tolist(), row)))) for c, row in zip(colours.tolist(), labels.tolist())]
+    order = sorted(set(keys))
+    return [order.index(key) for key in keys]
+
+
+def same_partition(a, b) -> bool:
+    return np.array_equal(first_encounter_relabel(np.asarray(a)), first_encounter_relabel(np.asarray(b)))
+
+
+class TestRefineColours:
+    """`refine_colours`, run to the stable colouring as the oracle runs it."""
+
+    @staticmethod
+    def assert_matches_reference(labels: np.ndarray) -> None:
+        from graphbind.oracle import _colours
+
+        assert same_partition(_colours(labels), signature_colours(labels))
+
+    def test_every_graph_of_order_at_most_5(self):
+        from graphbind.corpus import all_graphs
+
+        for n in range(1, 6):
+            for g in all_graphs(n):
+                self.assert_matches_reference(g.labels)
+
+    def test_random_graphs_of_orders_2_to_20(self):
+        from graphbind.corpus import random_graph
+
+        rng = np.random.default_rng(11)
+        for n in range(2, 21):
+            for _ in range(4):
+                g = random_graph(n, float(rng.uniform(0.1, 0.9)), seed=int(rng.integers(2**32)))
+                self.assert_matches_reference(g.labels)
+                self.assert_matches_reference(random_symmetric(rng, n, 4).labels)
+
+    def test_disjoint_unions_with_negative_cross_labels(self):
+        from graphbind.corpus import random_graph, random_permutation
+
+        for seed in range(20):
+            n = 2 + seed % 9
+            a = random_graph(n, 0.5, seed=seed)
+            b = permuted(a, random_permutation(n, seed=seed)) if seed % 2 else random_graph(n, 0.5, seed=99 + seed)
+            union = np.full((2 * n, 2 * n), -1, dtype=np.int64)
+            union[:n, :n] = a.labels
+            union[n:, n:] = b.labels
+            self.assert_matches_reference(union)
+
+    def test_directed_stable_graphs(self):
+        from graphbind.corpus import random_graph
+        from graphbind.refine import wl_stabilize
+
+        asymmetric = 0
+        for seed in range(12):
+            stable = wl_stabilize(random_graph(3 + seed % 8, 0.4, seed=seed)).stable
+            asymmetric += not np.array_equal(stable.labels, stable.labels.T)
+            self.assert_matches_reference(stable.labels)
+        assert asymmetric
+
+    def test_labels_near_the_int64_limit(self):
+        rng = np.random.default_rng(5)
+        top = np.iinfo(np.int64).max
+        for n in (1, 2, 7, 15):
+            labels = top - random_symmetric(rng, n, 3).labels
+            self.assert_matches_reference(labels)
+
+    def test_one_round_ranks_keys_in_increasing_order(self):
+        rng = np.random.default_rng(3)
+        for n in range(1, 16):
+            labels = rng.integers(0, 4, size=(n, n))
+            colours = np.unique(rng.integers(0, 3, size=n), return_inverse=True)[1]
+            assert refine_colours(labels, colours).tolist() == ranked_by_python_keys(labels, colours)
+
+    def test_renumbering_the_vertices_permutes_the_ranks(self):
+        rng = np.random.default_rng(4)
+        for n in range(1, 16):
+            labels = rng.integers(0, 4, size=(n, n))
+            colours = np.unique(rng.integers(0, 3, size=n), return_inverse=True)[1]
+            sigma = rng.permutation(n)
+            moved = refine_colours(labels[np.ix_(sigma, sigma)], colours[sigma])
+            assert np.array_equal(moved, refine_colours(labels, colours)[sigma])

@@ -179,9 +179,10 @@ class TestMatrixJson:
 
     def test_directed_roundtrip(self, tmp_path):
         from graphbind.core import DirectedLabeledGraph
-        from graphbind.graphio import read_directed_graph, write_directed_graph
+        from graphbind.graphio import read_directed_graph
 
         g = DirectedLabeledGraph(np.array([[1, 5, 2], [6, 1, 2], [3, 3, 1]]))
         path = tmp_path / "d.json"
-        write_directed_graph(g, path)
+        write_graph(g, path, "matrix-json")
+        assert path.read_text() == '{"n": 3, "labels": [[1, 5, 2], [6, 1, 2], [3, 3, 1]]}\n'
         assert np.array_equal(read_directed_graph(path).labels, g.labels)

@@ -96,6 +96,75 @@ class TestEquitable:
             is_equitable(path_graph(3), Partition.from_cells([[0], [1]]))
 
 
+def equitable_by_cell_pairs(g, p: Partition) -> bool:
+    """The cell-pair definition: is_equitable before it ran a refinement round."""
+    matrices = [g.labels]
+    if not np.array_equal(g.labels, g.labels.T):
+        matrices.append(np.ascontiguousarray(g.labels.T))
+    for m in matrices:
+        for src in p.cells:
+            for dst in p.cells:
+                block = np.sort(m[np.ix_(src, dst)], axis=1)
+                if not (block == block[0]).all():
+                    return False
+    return True
+
+
+def strongly_equitable_by_cell_pairs(g, p: Partition) -> bool:
+    """is_strongly_equitable before it compared labels with cell-pair codes."""
+    if not equitable_by_cell_pairs(g, p):
+        return False
+    owner: dict[int, tuple[int, int]] = {}
+    for i, src in enumerate(p.cells):
+        for j, dst in enumerate(p.cells[i:], start=i):
+            for label in np.unique(g.labels[np.ix_(src, dst)]).tolist():
+                if owner.setdefault(label, (i, j)) != (i, j):
+                    return False
+    return True
+
+
+def random_partition(rng, n: int) -> Partition:
+    cell = rng.integers(0, int(rng.integers(1, n + 1)), size=n)
+    return Partition.from_cells([np.flatnonzero(cell == k).tolist() for k in np.unique(cell)])
+
+
+def coarsened(rng, p: Partition) -> Partition:
+    """`p` with cells merged at random: near an equitable partition, so both answers occur."""
+    group = rng.integers(0, len(p.cells), size=len(p.cells))
+    return Partition.from_cells(
+        [v for k, cell in enumerate(p.cells) if group[k] == j for v in cell] for j in np.unique(group)
+    )
+
+
+class TestEquitableAgainstCellPairs:
+    """is_equitable and is_strongly_equitable against their definitions, kept here."""
+
+    @pytest.mark.parametrize("process", ["sas", "wl"])
+    def test_agrees_with_the_cell_pair_definition(self, process):
+        from graphbind.refine import wl_stabilize
+
+        stabilize = sas_stabilize if process == "sas" else wl_stabilize
+        rng = np.random.default_rng(17 if process == "sas" else 18)
+        answers = {True: 0, False: 0}
+        strongly = {True: 0, False: 0}
+        asymmetric = 0
+        for k in range(40):
+            g = random_graph(int(rng.integers(2, 10)), float(rng.uniform(0.2, 0.8)), seed=k)
+            stable = stabilize(g).stable
+            asymmetric += not np.array_equal(stable.labels, stable.labels.T)
+            cells = vertex_partition(stable)
+            for h in (g, stable):
+                for p in (cells, coarsened(rng, cells), random_partition(rng, g.n)):
+                    answer = is_equitable(h, p)
+                    assert answer == equitable_by_cell_pairs(h, p)
+                    answers[answer] += 1
+                    answer = is_strongly_equitable(h, p)
+                    assert answer == strongly_equitable_by_cell_pairs(h, p)
+                    strongly[answer] += 1
+        assert min(answers.values()) >= 20 and min(strongly.values()) >= 20
+        assert process == "sas" or asymmetric
+
+
 class TestBlockCommutant:
     def test_identity(self):
         stable = sas_stabilize(path_graph(4)).stable

@@ -531,6 +531,25 @@ class TestEvaluatedRounds:
             self.assert_identical(sas_stabilize(g), exact_sas(g))
             self.assert_identical(wl_stabilize(g), exact_wl(g))
 
+    def test_every_evaluated_round_passes_the_constructors_checks(self, monkeypatch):
+        # The loop builds its rounds' graphs without the constructors' checks
+        # (`_unchecked`), so the checks run here on every quick-corpus round.
+        import graphbind.refine as refine
+        from graphbind.validate import CorpusSpec, build_corpus
+
+        evaluated = recorded_outputs(monkeypatch, refine, "_evaluated_round")
+        rounds = 0
+        for _, g in build_corpus(CorpusSpec(quick=True)):
+            for stabilize, kind in ((sas_stabilize, LabeledGraph), (wl_stabilize, DirectedLabeledGraph)):
+                evaluated.clear()
+                trace = stabilize(g)
+                assert type(trace.stable) is kind
+                for labels in [*evaluated, trace.stable.labels]:
+                    assert np.array_equal(kind(labels).labels, labels)
+                    assert labels.dtype == np.int64 and labels.min() == 1
+                rounds += len(evaluated)
+        assert rounds > 0
+
     def test_identical_on_binding_graphs_of_yes_and_no_pairs(self, monkeypatch):
         import graphbind.refine as refine
 

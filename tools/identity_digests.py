@@ -30,6 +30,15 @@ witness against a copy relabeled by a permutation from a fixed seed, and
 against the next corpus graph of its order; and the orbits of the binding
 graphs of the connected order-4 and order-5 representatives.
 
+The `equitable` line digests `is_equitable` and `is_strongly_equitable`, in
+order, for every quick-corpus graph of order <= 10 and for its sas and wl
+stable graphs, each against four partitions of the graph: the one-cell
+partition, the vertex partitions of the seeded graph and of its first sas
+round, and the sas stable vertex partition.  Both answers occur.  The
+first-round partition, by degree on a simple graph, is where a vertex's
+labels into each cell matter and not only its whole row, so a check that
+always says yes, or a refinement round that splits less, changes the line.
+
 Two more lines digest the quick and the full `validate_suite` report: the
 number of violations and the first 16 hex digits of a sha256 over every
 check's entry without its `seconds`, the same entries the benchmark's
@@ -101,6 +110,30 @@ def oracle_results() -> list:
     for n in (4, 5):
         for g in nonisomorphic_connected_graphs(n):
             results.append(automorphism_orbits(binding_graph(g).graph).cells)
+    return results
+
+
+def equitable_results() -> list:
+    """The answers the `equitable` line digests, in order."""
+    from graphbind.core import Partition
+    from graphbind.partition import is_equitable, is_strongly_equitable, vertex_partition
+    from graphbind.refine import sas_stabilize, sas_step, seed_recognize_vertices, wl_stabilize
+    from graphbind.validate import CorpusSpec, build_corpus
+
+    results: list = []
+    for _, g in build_corpus(CorpusSpec(quick=True)):
+        if g.n > ORACLE_MAX_ORDER:
+            continue
+        sas, wl = sas_stabilize(g).stable, wl_stabilize(g).stable
+        seeded = seed_recognize_vertices(g)
+        partitions = [
+            Partition((tuple(range(g.n)),)),
+            vertex_partition(seeded),
+            vertex_partition(sas_step(seeded)),
+            vertex_partition(sas),
+        ]
+        for h in (g, sas, wl):
+            results += [[is_equitable(h, p), is_strongly_equitable(h, p)] for p in partitions]
     return results
 
 
@@ -187,6 +220,9 @@ def main(argv: list[str] | None = None) -> int:
     results = oracle_results()
     digest = hashlib.sha256(json.dumps(results).encode()).hexdigest()
     print(f"{'oracle':28s} calls={len(results):<5d} sha256={digest}", flush=True)
+    results = equitable_results()
+    digest = hashlib.sha256(json.dumps(results).encode()).hexdigest()
+    print(f"{'equitable':28s} calls={len(results):<5d} sha256={digest}", flush=True)
     for mode in ("quick", "full"):
         report = validate_suite(CorpusSpec(quick=mode == "quick"))
         line = f"{mode + ' report':28s} violations={report['violation_total']:<5d}"
