@@ -10,7 +10,6 @@ stabilizing back to the same partition.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +21,7 @@ from .core import (
     Partition,
     is_connected,
     is_simple,
+    refine_colours,
 )
 
 
@@ -175,57 +175,38 @@ def check_stable_bv_labeling(pi: dict[int, int], n: int) -> BvLabelingReport:
     The labeling induces a partition of basic vertices by labeling type (the
     multiset of labels on a vertex's binding vertices) and of binding
     vertices by label.  It is stable iff every binding cell has a constant
-    number of neighbors in every basic cell.  Labels must avoid the blank
-    and the binding-edge label (0 and 1).
+    number of neighbors in every basic cell.  Labels are int64 and must
+    avoid the blank and the binding-edge label (0 and 1).
+
+    Two `refine_colours` rounds on the plain binding graph with the labeling
+    on its diagonal decide it: from the diagonal's ranks the first gives the
+    types and the label classes, and the second splits a cell iff unstable.
     """
     b = plain_binding_graph(n)
     expected = set(range(n, b.n1))
     if set(pi) != expected:
         raise GraphError("labeling must cover exactly the binding vertices")
-    if any(label in (0, 1) for label in pi.values()):
-        raise GraphError("labels 0 and 1 are reserved (blank and binding edges)")
+    if any(label in (0, 1) or not -(2**63) <= label < 2**63 for label in pi.values()):
+        raise GraphError("labels are int64, and 0 and 1 are reserved (blank and binding edges)")
 
-    bound = {p: pair for pair, p in b.binder.items()}
-    types: dict[int, Counter] = {u: Counter() for u in range(n)}
-    for (u, v), p in b.binder.items():
-        types[u][pi[p]] += 1
-        types[v][pi[p]] += 1
-    by_type: dict[tuple, list[int]] = {}
-    for u in range(n):
-        by_type.setdefault(tuple(sorted(types[u].items())), []).append(u)
-    basic_cells = sorted(by_type.values(), key=lambda c: c[0])
-
-    by_label: dict[int, list[int]] = {}
-    for p in sorted(pi):
-        by_label.setdefault(pi[p], []).append(p)
-    binding_cells = sorted(by_label.values(), key=lambda c: c[0])
-
-    cell_of_basic = {}
-    for k, cell in enumerate(basic_cells):
-        for u in cell:
-            cell_of_basic[u] = k
-    degree_table: dict[tuple[int, int], int | None] = {}
-    stable = True
-    for dk, dcell in enumerate(binding_cells):
-        for ck in range(len(basic_cells)):
-            degrees = set()
-            for p in dcell:
-                u, v = bound[p]
-                degrees.add((cell_of_basic[u] == ck) + (cell_of_basic[v] == ck))
-            if len(degrees) == 1:
-                degree_table[(dk, ck)] = degrees.pop()
-            else:
-                degree_table[(dk, ck)] = None
-                stable = False
-
-    basic_partition = Partition.from_cells(basic_cells)
+    labels = b.graph.labels.copy()
+    labels[range(n, b.n1), range(n, b.n1)] = [pi[p] for p in range(n, b.n1)]
+    types = refine_colours(labels, np.unique(labels.diagonal(), return_inverse=True)[1])
+    basic_partition = Partition.from_colours(types[:n])
     # Binding vertices are re-indexed from 0 (subtract n) so the partition
     # covers a contiguous range.
-    binding_partition = Partition.from_cells(
-        [[p - n for p in cell] for cell in binding_cells]
-    )
+    binding_partition = Partition.from_colours(types[n:])
+    # degrees[p - n, c]: how many of the two basic vertices bound by p lie in
+    # basic cell c; binder pairs are listed in the order of p.
+    ends = basic_partition.cell_of()[np.array(list(b.binder), dtype=np.int64).reshape(-1, 2)]
+    degrees = (ends[:, :, None] == np.arange(len(basic_partition.cells))).sum(axis=1)
+    degree_table: dict[tuple[int, int], int | None] = {}
+    for dk, dcell in enumerate(binding_partition.cells):
+        block = degrees[list(dcell)]
+        for ck, (lo, hi) in enumerate(zip(block.min(axis=0).tolist(), block.max(axis=0).tolist())):
+            degree_table[(dk, ck)] = lo if lo == hi else None
     return BvLabelingReport(
-        stable=stable,
+        stable=bool(refine_colours(labels, types).max() == types.max()),
         basic_partition=basic_partition,
         binding_partition=binding_partition,
         degree_table=degree_table,

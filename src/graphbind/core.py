@@ -66,7 +66,7 @@ def _single_valued(keys: np.ndarray, values: np.ndarray) -> bool:
     top = int(values.max())
     if int(keys.max()) * (top + 1) + top > np.iinfo(np.int64).max:
         # Pair codes would overflow int64; renumbering keeps which entries are equal.
-        keys, values = first_encounter_relabel(keys), first_encounter_relabel(values)
+        keys, values = dense_labels(keys), dense_labels(values)
     stride = int(values.max()) + 1
     pair_keys = distinct_values(keys.astype(np.int64) * stride + values) // stride
     return not (pair_keys[1:] == pair_keys[:-1]).any()
@@ -168,12 +168,12 @@ def first_encounter_relabel(arr: np.ndarray, *tied: np.ndarray) -> np.ndarray:
     i's key is the tuple of the i-th entries.  One sort groups equal values
     of `arr`.  If every tied array is constant within each run of equal
     values, those runs are the key's classes and are numbered directly, in
-    O(size) after the sort.  Otherwise each tied array, renumbered densely
-    first, is folded into pair codes with the numbering so far, which are
-    numbered again; no code overflows int64.  First-encounter ids depend
-    only on the partition the key induces, so both paths give the same ids.
-    Besides the inputs one pass holds three int64 arrays of their size at a
-    time.
+    O(size) after the sort.  Otherwise each tied array, moved below its size
+    first (`dense_labels`), is folded into pair codes with the numbering so
+    far, which are numbered again; no code overflows int64.  First-encounter
+    ids depend only on the partition the key induces, so both paths give the
+    same ids.  Besides the inputs one pass holds three int64 arrays of their
+    size at a time.
     """
     arr = np.asarray(arr)
     flat = arr.ravel()
@@ -203,12 +203,27 @@ def first_encounter_relabel(arr: np.ndarray, *tied: np.ndarray) -> np.ndarray:
     del order, starts, rank
     if collided:
         for t in tied:
-            dense = 0 <= t.min() and t.max() < t.size
-            t = t.astype(np.int64) if dense else first_encounter_relabel(t)
+            t = dense_labels(t)
             group *= int(t.max()) + 1
             group += t
             group = first_encounter_relabel(group)
     return group.reshape(arr.shape)
+
+
+def dense_labels(arr: np.ndarray) -> np.ndarray:
+    """The int64 values of `arr` moved into [0, arr.size), in the same order.
+
+    Values already there pass unchanged; others are shifted to start at 0 if
+    their range fits, or else replaced by the ranks of the distinct values.
+    So a code a * (max + 1) + b of two such values sorts as the pair (a, b)
+    and stays below size**2, which fits int64 for n x n matrices to n = 55,000.
+    """
+    lo, hi = int(arr.min()), int(arr.max())
+    if 0 <= lo and hi < arr.size:
+        return arr
+    if hi - lo < arr.size:
+        return arr - lo
+    return np.searchsorted(distinct_values(arr), arr)
 
 
 def refine_colours(labels: np.ndarray, colours: np.ndarray) -> np.ndarray:
@@ -218,10 +233,11 @@ def refine_colours(labels: np.ndarray, colours: np.ndarray) -> np.ndarray:
     Vertex v's key is colours[v], then the sorted multiset of
     (colours[w], labels[v, w]) over all w.  Ranks follow the keys, not first
     encounter, so they refine the colours, compare across graphs, and only
-    permute when the vertices are renumbered.  Colours and labels are
-    non-negative with (colours.max() + 1) * (labels.max() + 1) in int64, as
-    for labels below n * n (`first_encounter_relabel`) and colours below that.
+    permute when the vertices are renumbered.  Labels may be any int64:
+    `dense_labels` renumbers them in order, which keeps every key's rank.
+    Colours lie in [0, n), as ranks do.
     """
+    labels = dense_labels(labels)
     keys = np.column_stack((colours, np.sort(colours * (int(labels.max()) + 1) + labels, axis=1)))
     order = np.lexsort(keys.T[::-1])
     keys = keys[order]
@@ -314,6 +330,15 @@ class Partition:
     def from_cells(cls, cells: Iterable[Iterable[int]]) -> "Partition":
         canon = sorted((tuple(sorted(cell)) for cell in cells), key=lambda c: c[0])
         return cls(tuple(canon))
+
+    @classmethod
+    def from_colours(cls, colours: Sequence[int] | np.ndarray) -> "Partition":
+        """The cells of vertices of equal colour, ordered by smallest member."""
+        cells: dict[int, list[int]] = {}
+        for v, colour in enumerate(np.asarray(colours).tolist()):
+            cells.setdefault(colour, []).append(v)
+        # Each cell was added at its smallest member, so cells come in order.
+        return cls(tuple(map(tuple, cells.values())))
 
     @property
     def n(self) -> int:

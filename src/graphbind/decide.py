@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from .binding import binding_graph, wing_graph
 from .core import GraphError, LabeledGraph, Partition, is_connected, is_simple
 from .partition import vertex_partition
-from .refine import StabilizationTrace, sas_stabilize, wl_stabilize
+from .refine import StabilizationTrace, max_evaluated_order, sas_stabilize, wl_stabilize
 
 #: Refuse binding graphs beyond this order by default (rounds cost O(order^3)).
 DEFAULT_MAX_BINDING_ORDER = 5000
@@ -77,6 +77,8 @@ def gi_decide(
     order = (2 * n + 1) * (2 * n + 2) // 2
     if order > max_binding_order:
         raise GraphError(f"binding graph order {order} exceeds the budget {max_binding_order}")
+    if order > max_evaluated_order():
+        raise GraphError(f"binding graph order {order} is above the exact-round bound {max_evaluated_order()}")
     bound = binding_graph(wing_graph(a1, a2))
     trace: StabilizationTrace = (
         sas_stabilize(bound.graph) if process == "sas" else wl_stabilize(bound.graph)

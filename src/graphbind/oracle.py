@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import GraphError, LabeledGraph, Partition, first_encounter_relabel, refine_colours
+from .core import GraphError, LabeledGraph, Partition, distinct_values, refine_colours
 
 SEARCH_BOUND = 16
 
@@ -28,14 +28,13 @@ def _check_bound(n: int, max_n: int | None) -> None:
 
 
 def _colours(labels: np.ndarray) -> list[int]:
-    """Stable colour refinement from the diagonal, by `refine_colours` on labels below n * n."""
-    lo, hi = int(labels.min()), int(labels.max())
-    labels = labels - lo if hi - lo < labels.size else first_encounter_relabel(labels)
-    refined = labels.diagonal()
+    """Stable colour refinement by `refine_colours`, from the ranks of the diagonal labels."""
+    diagonal = labels.diagonal()
+    refined = np.searchsorted(distinct_values(diagonal), diagonal)
     while True:
         colours, refined = refined, refine_colours(labels, refined)
         # Ranks only split classes, so with as many classes none split.
-        if refined.max() + 1 == len(set(colours.tolist())):
+        if refined.max() == colours.max():
             return refined.tolist()
 
 
@@ -159,7 +158,4 @@ def automorphism_orbits(g: LabeledGraph, *, max_n: int | None = None) -> Partiti
             if sigma is not None:
                 for i, img in enumerate(sigma):
                     union(i, img)
-    groups: dict[int, list[int]] = {}
-    for v in range(n):
-        groups.setdefault(find(v), []).append(v)
-    return Partition.from_cells(groups.values())
+    return Partition.from_colours([find(v) for v in range(n)])

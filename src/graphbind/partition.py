@@ -9,17 +9,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import AnyGraph, GraphError, LabeledGraph, Partition, first_encounter_relabel, is_imbedded
-from .core import permuted, refine_colours, same_matrix
+from .core import AnyGraph, GraphError, LabeledGraph, Partition, _single_valued, permuted
+from .core import refine_colours, same_matrix
 
 
 def vertex_partition(g: AnyGraph) -> Partition:
     """Group vertices by diagonal label; cells ordered by smallest member."""
-    diag = g.labels.diagonal()
-    cells: dict[int, list[int]] = {}
-    for v in range(g.n):
-        cells.setdefault(int(diag[v]), []).append(v)
-    return Partition.from_cells(cells.values())
+    return Partition.from_colours(g.labels.diagonal())
 
 
 def _check_partition(g: AnyGraph, p: Partition) -> None:
@@ -38,8 +34,7 @@ def is_equitable(g: AnyGraph, p: Partition) -> bool:
     """
     _check_partition(g, p)
     cells = p.cell_of()
-    labels = first_encounter_relabel(g.labels)
-    matrices = (labels,) if np.array_equal(labels, labels.T) else (labels, labels.T)
+    matrices = (g.labels,) if isinstance(g, LabeledGraph) else (g.labels, g.labels.T)
     return all(refine_colours(m, cells).max() == cells.max() for m in matrices)
 
 
@@ -52,7 +47,7 @@ def is_strongly_equitable(g: AnyGraph, p: Partition) -> bool:
     """
     cells = p.cell_of()
     pairs = np.minimum.outer(cells, cells) * len(p.cells) + np.maximum.outer(cells, cells)
-    return is_equitable(g, p) and is_imbedded(LabeledGraph(pairs), g)
+    return is_equitable(g, p) and _single_valued(g.labels.ravel(), pairs.ravel())
 
 
 def block_commutant_check(y: LabeledGraph, x: Sequence[int]) -> bool:

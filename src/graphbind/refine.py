@@ -49,6 +49,7 @@ from .core import (
     DirectedLabeledGraph,
     GraphError,
     LabeledGraph,
+    dense_labels,
     dim,
     distinct_values,
     first_encounter_ids,
@@ -111,17 +112,6 @@ def seed_recognize_vertices(g: LabeledGraph) -> LabeledGraph:
     return LabeledGraph(out)
 
 
-def _dense_labels(m: np.ndarray) -> np.ndarray:
-    """`m`, renumbered by first encounter if some label is not below its size.
-
-    Rounds code a pair of labels as a * (max + 1) + b and index arrays by
-    label.  Below n*n neither overflows int64 for any order under 55,000,
-    and renumbering keeps which entries are equal, so the output of a round
-    does not change.
-    """
-    return first_encounter_relabel(m) if m.max() >= m.size else m
-
-
 def _require_recognizing(g: AnyGraph) -> None:
     if not recognizes_vertices(g):
         raise VertexRecognitionError("input must recognize vertices; seed it first")
@@ -145,7 +135,7 @@ def _pair_code_builder(g: AnyGraph) -> tuple[Callable, int]:
     fits them, which halves sorting time or better.  A block of rows takes
     about CHECK_BLOCK_BYTES.
     """
-    m = _dense_labels(g.labels)
+    m = dense_labels(g.labels)
     stride = int(m.max()) + 1
     # Not 8 bits: numpy sorts rows of uint8 about 20 times slower than uint16.
     m = m.astype(np.promote_types(np.uint16, np.min_scalar_type(stride * stride - 1)))
@@ -195,7 +185,7 @@ def _evaluations(g: AnyGraph, rng: np.random.Generator) -> tuple[np.ndarray, np.
     returned mask (None for the ordered product): row-major, it meets every
     value where the full matrix does, so first-encounter ids agree.
     """
-    m = _dense_labels(g.labels)
+    m = dense_labels(g.labels)
     n = g.n
     directed = isinstance(g, DirectedLabeledGraph)
     upper = None if directed else np.triu(np.ones((n, n), dtype=bool))
@@ -479,12 +469,11 @@ def _exactly_stable(g: AnyGraph) -> bool:
     return next(_unequal_classes(rows, block, g.labels.ravel()[positions], positions), None) is None
 
 
-def _stabilize(g: LabeledGraph, kind: type, exact_step=None) -> StabilizationTrace:
+def _stabilize(g: LabeledGraph, kind: type) -> StabilizationTrace:
     """Seed `g`, then refine it as a `kind` graph until the dimension stops growing.
 
-    With `exact_step`, every round is that exact round.  Without it, rounds
-    are evaluated (`_evaluated_round`): they refine their input but may
-    refine it less than the exact round, so every round that grows the
+    Rounds are evaluated (`_evaluated_round`): they refine their input but
+    may refine it less than the exact round, so every round that grows the
     dimension is checked exactly (`_exactly_stable`).  A stable graph is
     returned at once, counting the round that would only number its
     partition the same way again; so is a discrete one (every entry, or
@@ -493,25 +482,24 @@ def _stabilize(g: LabeledGraph, kind: type, exact_step=None) -> StabilizationTra
     collision, and the reference round (`sas_step` or `wl_step`) takes its
     place.  Every round numbers its labels 1..d; its dim is its largest.
     """
-    if exact_step is None:
-        _require_evaluable(g.n)
+    _require_evaluable(g.n)
     rng = np.random.default_rng(EVALUATION_SEED)
     current = _unchecked(kind, seed_recognize_vertices(g).labels)
     round_bound = g.n * (g.n + 1) // 2 + 1
     discrete = g.n * (g.n + 1) // 2 if kind is LabeledGraph else g.n * g.n
     dims = [dim(current)]
     for rounds in range(1, round_bound + 1):
-        refined = exact_step(current) if exact_step else _unchecked(kind, _evaluated_round(current, rng))
+        refined = _unchecked(kind, _evaluated_round(current, rng))
         dims.append(int(refined.labels.max()))
         if dims[-1] == dims[-2]:
             # Dimension fixpoint implies equivalence; assert it once.
             if not is_equivalent(current, refined):
                 raise AssertionError("dimension fixpoint without equivalence; refinement is broken")
-            if exact_step or rounds == 1 and _exactly_stable(refined):  # later ones failed the check
+            if rounds == 1 and _exactly_stable(refined):  # later ones failed the check
                 return StabilizationTrace(stable=refined, rounds=rounds, dims=dims)
             refined = (sas_step if kind is LabeledGraph else wl_step)(refined)
             dims[-1] = int(refined.labels.max())
-        if dims[-1] == discrete or not exact_step and _exactly_stable(refined):
+        if dims[-1] == discrete or _exactly_stable(refined):
             dims.append(dims[-1])
             return StabilizationTrace(stable=refined, rounds=rounds + 1, dims=dims)
         current = refined
@@ -529,8 +517,23 @@ def wl_stabilize(g: LabeledGraph) -> StabilizationTrace:
 
 
 def kpower_stabilize(g: LabeledGraph, k: int) -> StabilizationTrace:
-    """Seed, then apply k-power rounds until the dimension stops growing."""
-    return _stabilize(g, LabeledGraph, lambda x: kpower_step(x, k))
+    """Seed, then apply k-power rounds until the dimension stops growing or is discrete."""
+    current = seed_recognize_vertices(g)
+    discrete = g.n * (g.n + 1) // 2
+    dims = [dim(current)]
+    for rounds in range(1, discrete + 2):
+        refined = kpower_step(current, k)
+        dims.append(int(refined.labels.max()))
+        if dims[-1] == dims[-2]:
+            # Dimension fixpoint implies equivalence; assert it once.
+            if not is_equivalent(current, refined):
+                raise AssertionError("dimension fixpoint without equivalence; refinement is broken")
+            return StabilizationTrace(stable=refined, rounds=rounds, dims=dims)
+        if dims[-1] == discrete:
+            dims.append(dims[-1])
+            return StabilizationTrace(stable=refined, rounds=rounds + 1, dims=dims)
+        current = refined
+    raise AssertionError("refinement exceeded its theoretical round bound")
 
 
 def numeric_ff_stabilize(g: LabeledGraph) -> StabilizationTrace:

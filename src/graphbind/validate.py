@@ -21,6 +21,7 @@ import numpy as np
 from .binding import binding_graph
 from .core import (
     LabeledGraph,
+    Partition,
     dim,
     equivalent_variable_substitution,
     first_encounter_relabel,
@@ -298,8 +299,7 @@ def partition_properties(g: LabeledGraph) -> list[str]:
     if any(len(set(m[u, list(other)].tolist())) != 1 for u in singletons for other in part.cells):
         details.append("singleton cells must see constant labels per cell")
     # From one colour, a refinement round ranks the vertices by their sorted rows.
-    rows = refine_colours(first_encounter_relabel(m), np.zeros(g.n, dtype=np.int64))
-    if not np.array_equal(first_encounter_relabel(m.diagonal()), first_encounter_relabel(rows)):
+    if Partition.from_colours(refine_colours(m, np.zeros(g.n, dtype=np.int64))) != part:
         details.append("diagonal labels must match exactly when rows match")
     return details
 
@@ -310,33 +310,28 @@ def binding_lemmas(g: LabeledGraph) -> list[str]:
     b = binding_graph(g)
     m = sas_stabilize(b.graph).stable.labels
     x = wl_stabilize(b.graph).stable.labels
-    pairs = list(b.binder.items())
+    u, v = np.array(list(b.binder), dtype=np.int64).T
+    p = np.array(list(b.binder.values()), dtype=np.int64)
     # Binding edges that bind basic edges never share stable labels with
     # binding edges that bind blank basic pairs.
-    on_edge, on_blank = set(), set()
-    for (u, v), p in pairs:
-        (on_edge if b.graph.labels[u, v] != 0 else on_blank).update({int(m[p, u]), int(m[p, v])})
-    if on_edge & on_blank:
+    edge = b.graph.labels[u, v] != 0
+    witnessed = np.stack((m[p, u], m[p, v]))
+    if np.isin(witnessed[:, edge], witnessed[:, ~edge]).any():
         details.append("binding edges fail to witness basic (non-)edges")
     diag = m.diagonal()
-    if set(diag[: b.basic_n].tolist()) & set(diag[b.basic_n :].tolist()):
+    if np.isin(diag[: b.basic_n], diag[b.basic_n :]).any():
         details.append("basic and binding vertices share a stable label")
     # Diagonal labels of binding vertices classify pairs exactly as the
-    # off-diagonal labels of their bound basic pairs.
-    if any(
-        (m[u, v] == m[r, s]) != (m[p, p] == m[q, q])
-        for i, ((u, v), p) in enumerate(pairs)
-        for (r, s), q in pairs[i + 1 :]
-    ):
+    # off-diagonal labels of their bound basic pairs: both classifications,
+    # numbered by first encounter, are the same numbering.
+    if not np.array_equal(first_encounter_relabel(m[u, v]), first_encounter_relabel(m[p, p])):
         details.append("binding-vertex labels disagree with basic pair labels")
     # Ordered binding-edge label pairs classify basic pairs exactly as the
     # ordered-pair stable graph labels them, and symmetry of the ordered
     # label is the binding-edge equality.
-    if any(
-        (x[u, v] == x[r, s]) != (m[u, p] == m[r, q] and m[v, p] == m[s, q])
-        for i, ((u, v), p) in enumerate(pairs)
-        for (r, s), q in pairs[i:]
-    ) or any((x[u, v] == x[v, u]) != (m[u, p] == m[v, p]) for (u, v), p in pairs):
+    if not np.array_equal(
+        first_encounter_relabel(x[u, v]), first_encounter_relabel(m[u, p], m[v, p])
+    ) or not np.array_equal(x[u, v] == x[v, u], m[u, p] == m[v, p]):
         details.append("binding-edge labels disagree with the ordered-pair labels")
     return details
 

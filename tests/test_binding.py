@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from graphbind.binding import (
     BindingGraph,
+    BvLabelingReport,
     binding_graph,
     build_phi,
     build_psi,
@@ -20,6 +23,7 @@ from graphbind.core import (
     BLANK,
     GraphError,
     LabeledGraph,
+    Partition,
     induced_subgraph,
     is_equivalent,
     is_imbedded,
@@ -200,6 +204,58 @@ class TestDerived:
             build_theta(complete_graph(4), b)
 
 
+def counted_bv_labeling(pi: dict[int, int], n: int) -> BvLabelingReport:
+    """`check_stable_bv_labeling` as it counted types and degrees in dict loops,
+    kept as the reference for its colour-refinement rounds."""
+    b = plain_binding_graph(n)
+    bound = {p: pair for pair, p in b.binder.items()}
+    types: dict[int, Counter] = {u: Counter() for u in range(n)}
+    for (u, v), p in b.binder.items():
+        types[u][pi[p]] += 1
+        types[v][pi[p]] += 1
+    by_type: dict[tuple, list[int]] = {}
+    for u in range(n):
+        by_type.setdefault(tuple(sorted(types[u].items())), []).append(u)
+    basic_cells = sorted(by_type.values(), key=lambda c: c[0])
+    by_label: dict[int, list[int]] = {}
+    for p in sorted(pi):
+        by_label.setdefault(pi[p], []).append(p)
+    binding_cells = sorted(by_label.values(), key=lambda c: c[0])
+    cell_of_basic = {u: k for k, cell in enumerate(basic_cells) for u in cell}
+    degree_table: dict[tuple[int, int], int | None] = {}
+    stable = True
+    for dk, dcell in enumerate(binding_cells):
+        for ck in range(len(basic_cells)):
+            degrees = {(cell_of_basic[bound[p][0]] == ck) + (cell_of_basic[bound[p][1]] == ck) for p in dcell}
+            degree_table[(dk, ck)] = degrees.pop() if len(degrees) == 1 else None
+            stable &= degree_table[(dk, ck)] is not None
+    return BvLabelingReport(
+        stable=stable,
+        basic_partition=Partition.from_cells(basic_cells),
+        binding_partition=Partition.from_cells([[p - n for p in cell] for cell in binding_cells]),
+        degree_table=degree_table,
+    )
+
+
+#: Labels drawn by `random_bv_labeling`: negative ones, small ones and ones
+#: at 2**62 and above, but never the reserved 0 and 1.
+BV_LABELS = [-(2**62), -7, -1, 2, 3, 5, 2**62, 2**62 + 9, 2**63 - 1]
+
+
+def random_bv_labeling(rng: np.random.Generator, b: BindingGraph) -> dict[int, int]:
+    """A binding-vertex labeling of `b`: a random symmetric function of the
+    colours of each binding vertex's two basic vertices, under a random
+    colouring with up to three colours (stable when the function separates
+    colour pairs), or with probability 1/4 a label drawn for each binding
+    vertex on its own."""
+    colour = rng.integers(0, rng.integers(1, 4), size=b.basic_n)
+    table = rng.choice(BV_LABELS, size=(3, 3))
+    table = np.minimum(table, table.T) if rng.random() < 0.5 else np.maximum(table, table.T)
+    if rng.random() < 0.25:
+        return {p: int(rng.choice(BV_LABELS[:4])) for p in b.binder.values()}
+    return {p: int(table[colour[u], colour[v]]) for (u, v), p in b.binder.items()}
+
+
 class TestPlainBindingAndLabelings:
     def test_plain_binding_structure(self):
         b = plain_binding_graph(4)
@@ -245,9 +301,25 @@ class TestPlainBindingAndLabelings:
         pi = {p: base + int(theta.labels[p, p]) for p in range(n, b.n1)}
         assert check_stable_bv_labeling(pi, n).stable
 
+    def test_matches_the_counting_reference(self):
+        rng = np.random.default_rng(18)
+        answers = {True: 0, False: 0}
+        for k in range(1200):
+            n = 2 + k % 6
+            pi = random_bv_labeling(rng, plain_binding_graph(n))
+            report = check_stable_bv_labeling(pi, n)
+            assert report == counted_bv_labeling(pi, n), (n, pi)
+            answers[report.stable] += 1
+        assert min(answers.values()) >= 100, answers
+
     def test_rejects_reserved_labels(self):
         with pytest.raises(GraphError):
             check_stable_bv_labeling({3: 1, 4: 5, 5: 6}, 3)
+
+    @pytest.mark.parametrize("label", [2**63, -(2**63) - 1])
+    def test_rejects_labels_outside_int64(self, label):
+        with pytest.raises(GraphError, match="int64"):
+            check_stable_bv_labeling({3: label, 4: 5, 5: 6}, 3)
 
     def test_rejects_incomplete_labeling(self):
         with pytest.raises(GraphError):

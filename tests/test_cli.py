@@ -155,6 +155,13 @@ class TestGiCommand:
         args = build_parser().parse_args(["gi", "--a", "a.json", "--b", "b.json"])
         assert args.max_binding_order == DEFAULT_MAX_BINDING_ORDER
 
+    def test_order_above_the_exact_round_bound_exit_two(self, tmp_path, capsys):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        write_graph(cycle_graph(64), a, "matrix-json")
+        write_graph(path_graph(64), b, "matrix-json")
+        assert main(["gi", "--a", str(a), "--b", str(b), "--max-binding-order", "100000"]) == 2
+        assert "8385" in capsys.readouterr().err
+
     def test_wl_process_flag(self, files):
         _, a, b = files
         assert main(["gi", "--a", a, "--b", b, "--process", "wl"]) == 0

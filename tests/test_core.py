@@ -16,6 +16,7 @@ from graphbind.core import (
     OrderMismatchError,
     Partition,
     SymmetryError,
+    dense_labels,
     dim,
     distinct_values,
     equivalent_variable_substitution,
@@ -379,6 +380,16 @@ class TestPartitionType:
         assert fine.refines(coarse)
         assert not coarse.refines(fine)
 
+    def test_from_colours_groups_equal_colours(self):
+        assert Partition.from_colours([5, -1, 5, 2**63 - 1, -1]).cells == ((0, 2), (1, 4), (3,))
+        rng = np.random.default_rng(7)
+        for n in range(1, 30):
+            colours = rng.integers(-3, 4, size=n).tolist()
+            groups: dict[int, list[int]] = {}
+            for v, colour in enumerate(colours):
+                groups.setdefault(colour, []).append(v)
+            assert Partition.from_colours(colours) == Partition.from_cells(groups.values())
+
 
 def signature_colours(labels: np.ndarray) -> list[int]:
     """Stable colour refinement by tuple signatures interned in a dict.
@@ -482,3 +493,71 @@ class TestRefineColours:
             sigma = rng.permutation(n)
             moved = refine_colours(labels[np.ix_(sigma, sigma)], colours[sigma])
             assert np.array_equal(moved, refine_colours(labels, colours)[sigma])
+
+    @pytest.mark.parametrize(
+        "low, high",
+        [
+            (-9, 3),
+            (-(2**40), -(2**40) + 5),
+            (40, 45),
+            (2**62, 2**62 + 4),
+            (2**63 - 6, 2**63 - 1),
+            (-(2**63), 2**63 - 1),
+        ],
+    )
+    def test_labels_outside_the_matrix_size(self, low, high):
+        # Labels below 0 or at n * n and above, a few distinct values or spread over all of int64.
+        rng = np.random.default_rng(6)
+        for n in range(1, 12):
+            values = np.unique(np.append(rng.integers(low, high, size=3, endpoint=True), high))
+            labels = rng.choice(values, size=(n, n))
+            colours = np.unique(rng.integers(0, 3, size=n), return_inverse=True)[1]
+            ranks = refine_colours(labels, colours)
+            # Ranks of the keys of the labels' ranks, their order-preserving renumbering.
+            renumbered = np.searchsorted(values, labels)
+            assert ranks.tolist() == ranked_by_python_keys(renumbered, colours)
+            assert ranks.tolist() == ranked_by_python_keys(labels, colours)
+            sigma = rng.permutation(n)
+            moved = refine_colours(labels[np.ix_(sigma, sigma)], colours[sigma])
+            assert np.array_equal(moved, ranks[sigma])
+
+    def test_dense_labels(self):
+        inside = np.array([[0, 3], [2, 1]])
+        assert dense_labels(inside) is inside
+        assert dense_labels(inside + 7).tolist() == [[0, 3], [2, 1]]
+        assert dense_labels(inside - 9).tolist() == [[0, 3], [2, 1]]
+        spread = np.array([[2**63 - 1, -5], [2**40, -5]])
+        assert dense_labels(spread).tolist() == [[2, 0], [1, 0]]
+
+    def test_colours_stay_below_the_order(self, monkeypatch):
+        import graphbind.binding
+        import graphbind.oracle
+        import graphbind.partition
+        import graphbind.validate
+        from graphbind.binding import check_stable_bv_labeling
+        from graphbind.corpus import cycle_graph, random_graph
+        from graphbind.oracle import automorphism_orbits, is_isomorphic_bruteforce
+        from graphbind.partition import is_equitable, is_strongly_equitable, vertex_partition
+        from graphbind.refine import sas_stabilize, wl_stabilize
+        from graphbind.validate import partition_properties
+
+        calls = []
+
+        def checked(labels, colours):
+            assert colours.dtype.kind == "i" and 0 <= colours.min() and colours.max() < colours.size
+            assert labels.shape == (colours.size, colours.size)
+            calls.append(colours.size)
+            return refine_colours(labels, colours)
+
+        for module in (graphbind.binding, graphbind.oracle, graphbind.partition, graphbind.validate):
+            monkeypatch.setattr(module, "refine_colours", checked)
+        g = random_graph(7, 0.5, seed=3)
+        h = LabeledGraph(g.labels * (2**62) + 5)
+        assert is_isomorphic_bruteforce(h, h) is not None
+        automorphism_orbits(h)
+        for stable in (sas_stabilize(g).stable, wl_stabilize(g).stable):
+            is_equitable(stable, vertex_partition(stable))
+            is_strongly_equitable(stable, vertex_partition(stable))
+        partition_properties(cycle_graph(6))
+        check_stable_bv_labeling({3: -4, 4: 2**62, 5: -4}, 3)
+        assert len(calls) >= 10

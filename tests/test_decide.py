@@ -64,6 +64,17 @@ class TestPreconditions:
         with pytest.raises(GraphError, match="exceeds the budget 100"):
             gi_decide(g, g, max_binding_order=100)
 
+    def test_order_above_the_exact_round_bound_refused_before_building(self, monkeypatch):
+        import graphbind.decide
+
+        def forbidden(*args):
+            raise AssertionError("binding graph built past the exact-round bound")
+
+        monkeypatch.setattr(graphbind.decide, "binding_graph", forbidden)
+        g = cycle_graph(64)  # binding order 129 * 130 / 2 = 8385 > 8192
+        with pytest.raises(GraphError, match="order 8385 is above the exact-round bound 8192"):
+            gi_decide(g, g, max_binding_order=10**6)
+
     def test_rejects_unknown_process(self):
         with pytest.raises(GraphError):
             gi_decide(cycle_graph(4), cycle_graph(4), process="magic")

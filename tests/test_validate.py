@@ -7,8 +7,11 @@ from pathlib import Path
 
 import numpy as np
 
-from graphbind.core import LabeledGraph
-from graphbind.refine import sas_stabilize, wl_stabilize
+import graphbind.validate as validate
+from graphbind.binding import binding_graph
+from graphbind.core import DirectedLabeledGraph, LabeledGraph
+from graphbind.corpus import cycle_graph, path_graph, random_connected_graph
+from graphbind.refine import StabilizationTrace, sas_stabilize, wl_stabilize
 from graphbind.validate import (
     CHECKS,
     CorpusSpec,
@@ -63,3 +66,91 @@ def test_corpus_contains_named_and_exhaustive_parts():
     assert any(name.startswith("all/n3/") for name in names)
     assert "named/petersen" in names
     assert "named/pitfall21" in names
+
+
+class TestBindingLemmas:
+    """`binding_lemmas` on stable graphs that break its label lemmas on purpose."""
+
+    @staticmethod
+    def merged(labels: np.ndarray, a: tuple[int, int], b: tuple[int, int]) -> np.ndarray:
+        """`labels` with the labels at `a` and its mirror set to those at `b` and
+        its mirror, which keeps a symmetric or converse-equivalent matrix so."""
+        out = labels.copy()
+        out[a], out[a[::-1]] = labels[b], labels[b[::-1]]
+        return out
+
+    @staticmethod
+    def patched(monkeypatch, stabilizer: str, labels: np.ndarray, kind: type) -> None:
+        trace = getattr(validate, stabilizer)
+        monkeypatch.setattr(
+            validate, stabilizer, lambda g: StabilizationTrace(kind(labels), trace(g).rounds)
+        )
+
+    @staticmethod
+    def looped(g: LabeledGraph) -> list[str]:
+        """The lemmas as pair loops over the binding vertices, kept as the reference."""
+        b = binding_graph(g)
+        m = validate.sas_stabilize(b.graph).stable.labels
+        x = validate.wl_stabilize(b.graph).stable.labels
+        pairs = list(b.binder.items())
+        details = []
+        on_edge, on_blank = set(), set()
+        for (u, v), p in pairs:
+            (on_edge if b.graph.labels[u, v] != 0 else on_blank).update({int(m[p, u]), int(m[p, v])})
+        if on_edge & on_blank:
+            details.append("binding edges fail to witness basic (non-)edges")
+        diag = m.diagonal()
+        if set(diag[: b.basic_n].tolist()) & set(diag[b.basic_n :].tolist()):
+            details.append("basic and binding vertices share a stable label")
+        if any(
+            (m[u, v] == m[r, s]) != (m[p, p] == m[q, q])
+            for i, ((u, v), p) in enumerate(pairs)
+            for (r, s), q in pairs[i + 1 :]
+        ):
+            details.append("binding-vertex labels disagree with basic pair labels")
+        if any(
+            (x[u, v] == x[r, s]) != (m[u, p] == m[r, q] and m[v, p] == m[s, q])
+            for i, ((u, v), p) in enumerate(pairs)
+            for (r, s), q in pairs[i:]
+        ) or any((x[u, v] == x[v, u]) != (m[u, p] == m[v, p]) for (u, v), p in pairs):
+            details.append("binding-edge labels disagree with the ordered-pair labels")
+        return details
+
+    def test_merged_binding_vertex_labels_are_reported(self, monkeypatch):
+        g = path_graph(4)
+        b = binding_graph(g)
+        m = sas_stabilize(b.graph).stable.labels
+        assert validate.binding_lemmas(g) == []
+        p, q = b.binding_vertex(0, 1), b.binding_vertex(1, 2)
+        assert m[p, p] != m[q, q]
+        self.patched(monkeypatch, "sas_stabilize", self.merged(m, (q, q), (p, p)), LabeledGraph)
+        assert validate.binding_lemmas(g) == ["binding-vertex labels disagree with basic pair labels"]
+
+    def test_every_clause_reports_as_the_pair_loops_do(self, monkeypatch):
+        reported = set()
+        for g in (path_graph(4), cycle_graph(5), random_connected_graph(5, 0.5, seed=2)):
+            b = binding_graph(g)
+            m = sas_stabilize(b.graph).stable.labels
+            x = wl_stabilize(b.graph).stable.labels
+            n, p, q = g.n, b.binding_vertex(0, 1), b.binding_vertex(1, 2)
+            broken_m = [
+                self.merged(m, (q, q), (p, p)),  # two binding-vertex labels
+                self.merged(m, (0, 0), (p, p)),  # a basic and a binding vertex
+                self.merged(m, (0, 1), (0, 2)),  # two basic pair labels
+                self.merged(m, (p, 0), (q, 2)),  # two binding-edge labels
+                self.merged(m, (p, 1), (p, 0)),  # the two edges of one binder
+            ]
+            broken_x = [self.merged(x, (0, 1), (1, 2)), self.merged(x, (0, n - 1), (1, 0))]
+            for labels in broken_m:
+                with monkeypatch.context() as patch:
+                    self.patched(patch, "sas_stabilize", labels, LabeledGraph)
+                    details = validate.binding_lemmas(g)
+                    assert details == self.looped(g), g.labels.tolist()
+                    reported.update(details)
+            for labels in broken_x:
+                with monkeypatch.context() as patch:
+                    self.patched(patch, "wl_stabilize", labels, DirectedLabeledGraph)
+                    details = validate.binding_lemmas(g)
+                    assert details == self.looped(g), g.labels.tolist()
+                    reported.update(details)
+        assert len(reported) == 4, reported

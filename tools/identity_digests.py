@@ -39,6 +39,14 @@ first-round partition, by degree on a simple graph, is where a vertex's
 labels into each cell matter and not only its whole row, so a check that
 always says yes, or a refinement round that splits less, changes the line.
 
+The `bvlabel` line digests `check_stable_bv_labeling` reports, in order:
+whether the labeling is stable, both partitions and the degree table, for
+`BVLABELS_PER_ORDER` labelings of each order 2-7 from a fixed seed.  Each
+labels a binding vertex by a random symmetric function of the colours of
+its two basic vertices, under a random colouring with up to three colours,
+or, one time in four, each binding vertex on its own.  Labels include
+negative ones and ones at 2**62 and above, and both answers occur.
+
 Two more lines digest the quick and the full `validate_suite` report: the
 number of violations and the first 16 hex digits of a sha256 over every
 check's entry without its `seconds`, the same entries the benchmark's
@@ -67,6 +75,8 @@ COLLISION_MAX_ORDER = 8
 COLLISION_PRIME = 3
 ORACLE_MAX_ORDER = 10
 ORACLE_SEED = 20240901
+BVLABELS_PER_ORDER = 50
+BVLABEL_VALUES = [-(2**62), -7, -1, 2, 3, 5, 2**62, 2**62 + 9, 2**63 - 1]
 
 
 def import_graphbind(src: Path):
@@ -134,6 +144,29 @@ def equitable_results() -> list:
         ]
         for h in (g, sas, wl):
             results += [[is_equitable(h, p), is_strongly_equitable(h, p)] for p in partitions]
+    return results
+
+
+def bvlabel_results() -> list:
+    """The reports the `bvlabel` line digests, in order."""
+    import numpy as np
+    from graphbind.binding import check_stable_bv_labeling, plain_binding_graph
+
+    rng = np.random.default_rng(ORACLE_SEED)
+    results: list = []
+    for n in range(2, 8):
+        binder = plain_binding_graph(n).binder
+        for _ in range(BVLABELS_PER_ORDER):
+            colour = rng.integers(0, rng.integers(1, 4), size=n)
+            table = rng.choice(BVLABEL_VALUES, size=(3, 3))
+            table = np.minimum(table, table.T)
+            if rng.random() < 0.25:
+                pi = {p: int(rng.choice(BVLABEL_VALUES[:4])) for p in binder.values()}
+            else:
+                pi = {p: int(table[colour[u], colour[v]]) for (u, v), p in binder.items()}
+            report = check_stable_bv_labeling(pi, n)
+            partitions = [report.basic_partition.cells, report.binding_partition.cells]
+            results.append([report.stable, *partitions, sorted(report.degree_table.items())])
     return results
 
 
@@ -223,6 +256,10 @@ def main(argv: list[str] | None = None) -> int:
     results = equitable_results()
     digest = hashlib.sha256(json.dumps(results).encode()).hexdigest()
     print(f"{'equitable':28s} calls={len(results):<5d} sha256={digest}", flush=True)
+    results = bvlabel_results()
+    digest = hashlib.sha256(json.dumps(results).encode()).hexdigest()
+    stable = sum(result[0] for result in results)
+    print(f"{'bvlabel':28s} calls={len(results):<5d} sha256={digest} stable={stable}", flush=True)
     for mode in ("quick", "full"):
         report = validate_suite(CorpusSpec(quick=mode == "quick"))
         line = f"{mode + ' report':28s} violations={report['violation_total']:<5d}"
