@@ -19,6 +19,8 @@ from .core import (
     GraphError,
     LabeledGraph,
     Partition,
+    _single_valued,
+    dense_labels,
     is_connected,
     is_simple,
     refine_colours,
@@ -178,35 +180,41 @@ def check_stable_bv_labeling(pi: dict[int, int], n: int) -> BvLabelingReport:
     number of neighbors in every basic cell.  Labels are int64 and must
     avoid the blank and the binding-edge label (0 and 1).
 
-    Two `refine_colours` rounds on the plain binding graph with the labeling
-    on its diagonal decide it: from the diagonal's ranks the first gives the
-    types and the label classes, and the second splits a cell iff unstable.
+    One `refine_colours` round from one colour, on the n x n matrix of the
+    labels of the basic pairs' binding vertices, gives the types.  A further
+    round on the plain binding graph would key a basic vertex by its type
+    alone, and a binding vertex by its label and its ends' types, so the
+    labeling is stable iff each label binds one unordered pair of types.
     """
-    b = plain_binding_graph(n)
-    expected = set(range(n, b.n1))
-    if set(pi) != expected:
+    if n < 2:
+        raise GraphError("a plain binding graph needs at least two basic vertices")
+    n1 = n * (n + 1) // 2
+    if set(pi) != set(range(n, n1)):
         raise GraphError("labeling must cover exactly the binding vertices")
     if any(label in (0, 1) or not -(2**63) <= label < 2**63 for label in pi.values()):
         raise GraphError("labels are int64, and 0 and 1 are reserved (blank and binding edges)")
 
-    labels = b.graph.labels.copy()
-    labels[range(n, b.n1), range(n, b.n1)] = [pi[p] for p in range(n, b.n1)]
-    types = refine_colours(labels, np.unique(labels.diagonal(), return_inverse=True)[1])
-    basic_partition = Partition.from_colours(types[:n])
+    u, v = np.triu_indices(n, 1)  # the basic pairs in the order of their binding vertices
+    labels = dense_labels(np.array([pi[p] for p in range(n, n1)], dtype=np.int64))
+    pairs = np.zeros((n, n), dtype=np.int64)
+    pairs[u, v] = pairs[v, u] = labels + 1  # above the diagonal's 0
+    types = refine_colours(pairs, np.zeros(n, dtype=np.int64))
+    basic_partition = Partition.from_colours(types)
     # Binding vertices are re-indexed from 0 (subtract n) so the partition
     # covers a contiguous range.
-    binding_partition = Partition.from_colours(types[n:])
+    binding_partition = Partition.from_colours(labels)
     # degrees[p - n, c]: how many of the two basic vertices bound by p lie in
-    # basic cell c; binder pairs are listed in the order of p.
-    ends = basic_partition.cell_of()[np.array(list(b.binder), dtype=np.int64).reshape(-1, 2)]
+    # basic cell c.
+    ends = basic_partition.cell_of()[np.column_stack((u, v))]
     degrees = (ends[:, :, None] == np.arange(len(basic_partition.cells))).sum(axis=1)
     degree_table: dict[tuple[int, int], int | None] = {}
     for dk, dcell in enumerate(binding_partition.cells):
         block = degrees[list(dcell)]
         for ck, (lo, hi) in enumerate(zip(block.min(axis=0).tolist(), block.max(axis=0).tolist())):
             degree_table[(dk, ck)] = lo if lo == hi else None
+    tu, tv = types[u], types[v]
     return BvLabelingReport(
-        stable=bool(refine_colours(labels, types).max() == types.max()),
+        stable=_single_valued(labels, np.minimum(tu, tv) * n + np.maximum(tu, tv)),
         basic_partition=basic_partition,
         binding_partition=binding_partition,
         degree_table=degree_table,

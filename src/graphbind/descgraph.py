@@ -103,8 +103,6 @@ def gamma_description_graph(a: LabeledGraph, t: int | None = None) -> LabeledGra
     truncation = a.n - 1 if t is None else t
     if truncation < 0:
         raise GraphError("truncation must be non-negative")
-    if a.n == 1:
-        return LabeledGraph(np.array([[1]]))
     n = a.n
     entries = [[[(0, ((), 1))] if u == v else [] for v in range(n)] for u in range(n)]
     for k, power in enumerate(walk_powers(a.labels, truncation), start=1):
@@ -197,8 +195,6 @@ def spectral_description_graph(a: LabeledGraph, tol: float = 1e-9) -> LabeledGra
     constant (length-0) walk term and merge diagonal with off-diagonal
     classes on singular matrices.
     """
-    if a.n == 1:
-        return LabeledGraph(np.array([[1]]))
     dec = spectral_decomposition(a, tol)
     if dec.ill_conditioned:
         warnings.warn("eigenvalue gaps within 10x tolerance; grouping may be unreliable", RuntimeWarning)

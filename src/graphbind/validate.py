@@ -1,20 +1,22 @@
 """Audit suite: run the library's claimed invariants over a graph corpus.
 
-A claim is a public function over one graph (binding_completeness: over a
-pair), and the random draw it needs, that returns its violation details
-there; an empty list means the claim holds.  A check runs one claim on a
-selection of corpus graphs and returns the violating instances rather than
-asserting, so a broken claim surfaces as reproducible data.  The acceptance
-tests call the same claims on their own corpora.  The suite audits both
-implementation invariants and the claims imported from the underlying
-theory; a violation of the latter is exactly the kind of counterexample the
-toolkit exists to hunt for.
+A claim is a public function of one case, a graph and the arguments it
+needs (another graph, a seed), that returns its violation details there; an
+empty list means the claim holds.  A check is a row of CHECKS: a selection
+of cases, and the claim `_run` calls on each.  It records the violating
+instances, each with its graph and arguments, rather than asserting, so a
+broken claim surfaces as data that replays as claim(graph, *arguments).
+The acceptance tests call the same claims on their own corpora.  The suite
+audits both implementation invariants and the claims imported from the
+underlying theory; a violation of the latter is exactly the kind of
+counterexample the toolkit exists to hunt for.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -72,8 +74,8 @@ class CorpusSpec:
 
     The corpus lists every graph of order <= 5 (<= 4 when quick) first, then
     RANDOM_COUNT random samples of order 2..12 (20 when quick) drawn from
-    `seed`, then the named graphs.  Checks that take at most `limit` graphs
-    take the first ones, so they only ever see exhaustive small graphs.
+    `seed`, then the named graphs.  Checks that select with `_first` take the
+    first graphs of bounded order, so they only ever see exhaustive small graphs.
     Quick mode: refinement_chain, stable_fixpoint_and_recognition,
     relabeling_equivariance and orbit_coarsening reach order 3;
     dim_monotone_under_imbedding, both square_vs_ordered_pair checks and
@@ -116,30 +118,22 @@ class CheckResult:
     cases: int = 0
     violations: list[dict] = field(default_factory=list)
 
-    def record(self, name: str, g: LabeledGraph, detail: str) -> None:
-        self.violations.append(
-            {"instance": name, "detail": detail, "graph": {"n": g.n, "labels": g.labels.tolist()}}
-        )
 
-
-def _graphs_up_to(corpus, max_n, *, connected=False, limit=None):
-    picked = []
-    for name, g in corpus:
-        if g.n > max_n or (connected and not is_connected(g)):
-            continue
-        picked.append((name, g))
-        if limit is not None and len(picked) >= limit:
-            break
-    return picked
+def _as_json(x):
+    return {"n": x.n, "labels": x.labels.tolist()} if isinstance(x, LabeledGraph) else x
 
 
 def _run(selection, claim) -> CheckResult:
-    """One case per selected (name, graph, *rest); claim(graph, *rest) gives its violations."""
+    """One case per selected (name, graph, *arguments); claim(graph, *arguments)
+    gives its violations, each recorded with the case's graph and arguments."""
     res = CheckResult()
-    for name, *args in selection:
+    for name, g, *arguments in selection:
         res.cases += 1
-        for detail in claim(*args):
-            res.record(name, args[0], detail)
+        for detail in claim(g, *arguments):
+            finding = {"instance": name, "detail": detail, "graph": _as_json(g)}
+            if arguments:
+                finding["arguments"] = [_as_json(x) for x in arguments]
+            res.violations.append(finding)
     return res
 
 
@@ -161,13 +155,13 @@ def substitution_roundtrip(g: LabeledGraph) -> list[str]:
     return details
 
 
-def dim_monotone_under_imbedding(g: LabeledGraph, rng: np.random.Generator) -> list[str]:
-    """Merging two labels of g, drawn from rng, gives a graph imbedded in g of no larger dim."""
+def dim_monotone_under_imbedding(g: LabeledGraph, seed: int) -> list[str]:
+    """Merging two labels of g, drawn from seed, gives a graph imbedded in g of no larger dim."""
     labels = np.unique(g.labels)
     if labels.size < 2:
         return []
     details = []
-    a, b = rng.choice(labels, size=2, replace=False)
+    a, b = np.random.default_rng(seed).choice(labels, size=2, replace=False)
     merged = LabeledGraph(np.where(g.labels == a, int(b), g.labels))
     if not is_imbedded(merged, g):
         details.append("label merge must be imbedded in the original")
@@ -233,9 +227,9 @@ def square_vs_ordered_pair_round_counts(g: LabeledGraph) -> list[str]:
     return [] if s.rounds == w.rounds else [f"round counts differ: {s.rounds} vs {w.rounds}"]
 
 
-def relabeling_equivariance(g: LabeledGraph, rng: np.random.Generator) -> list[str]:
-    """Stabilizing g relabeled by a permutation drawn from rng relabels its stable graph."""
-    sigma = random_permutation(g.n, seed=int(rng.integers(2**32)))
+def relabeling_equivariance(g: LabeledGraph, seed: int) -> list[str]:
+    """Stabilizing g relabeled by a permutation drawn from seed relabels its stable graph."""
+    sigma = random_permutation(g.n, seed=seed)
     lhs = sas_stabilize(permuted(g, sigma)).stable
     rhs = permuted(sas_stabilize(g).stable, sigma)
     same = is_equivalent(lhs, rhs)
@@ -355,124 +349,119 @@ def binding_orbits(g: LabeledGraph) -> list[str]:
     return [] if same else ["basic orbits of the binding graph differ from the graph's"]
 
 
+def gi_decision(a: LabeledGraph, relabeled: LabeledGraph, b: LabeledGraph) -> list[str]:
+    """The decision says YES on a and its relabeled copy, and on a, b it is
+    symmetric and agrees with brute force."""
+    details = []
+    if not gi_decide(a, relabeled).verdict:
+        details.append("a relabeled copy was declared non-isomorphic")
+    v1 = gi_decide(a, b).verdict
+    v2 = gi_decide(b, a).verdict
+    oracle = is_isomorphic_bruteforce(a, b) is not None
+    if v1 != v2:
+        details.append("verdict is not symmetric in its arguments")
+    if v1 != oracle:
+        details.append(f"decision {v1} disagrees with brute force {oracle}")
+    return details
+
+
+def ff_pitfall(g: LabeledGraph) -> list[str]:
+    """The numeric shortcut stabilizes g, built to defeat it, unlike the exact rounds."""
+    same = is_equivalent(numeric_ff_stabilize(g).stable, sas_stabilize(g).stable)
+    return ["numeric shortcut unexpectedly matched the exact rounds"] if same else []
+
+
 # ---------------------------------------------------------------------------
-# The checks: which corpus graphs each claim runs on.
+# The checks: each selection gives the cases (name, graph, *arguments) of a claim.
 
-def _limited(max_n, count, claim):
-    """The check of claim on the first spec.scaled(count) corpus graphs of order <= max_n."""
-    return lambda corpus, spec: _run(_graphs_up_to(corpus, max_n, limit=spec.scaled(count)), claim)
-
-
-def _check_substitution(corpus, spec) -> CheckResult:
-    return _run(corpus, substitution_roundtrip)
+def _first(max_n, count, keep=lambda g: True):
+    """The first spec.scaled(count) corpus graphs of order <= max_n that keep accepts."""
+    return lambda corpus, spec: list(
+        islice(((name, g) for name, g in corpus if g.n <= max_n and keep(g)), spec.scaled(count))
+    )
 
 
-def _check_dim_monotone(corpus, spec) -> CheckResult:
-    rng = np.random.default_rng(spec.seed + 1)
-    selection = _graphs_up_to(corpus, 12, limit=spec.scaled(120))
-    return _run(selection, lambda g: dim_monotone_under_imbedding(g, rng))
+def _seeded(select, offset):
+    """select's cases, each followed by a seed drawn from spec.seed + offset."""
+
+    def cases(corpus, spec):
+        rng = np.random.default_rng(spec.seed + offset)
+        return [(*case, int(rng.integers(2**32))) for case in select(corpus, spec)]
+
+    return cases
 
 
-def _check_equivariance(corpus, spec) -> CheckResult:
-    rng = np.random.default_rng(spec.seed + 2)
-    selection = _graphs_up_to(corpus, 12, limit=spec.scaled(60))
-    return _run(selection, lambda g: relabeling_equivariance(g, rng))
+def _named(*names):
+    def cases(corpus, spec):
+        graphs = dict(corpus)
+        return [(f"named/{name}", graphs[f"named/{name}"]) for name in names]
+
+    return cases
 
 
-def _check_descgraph_routes(corpus, spec) -> CheckResult:
-    binary = [
-        (name, g)
-        for name, g in _graphs_up_to(corpus, 8)
-        if set(np.unique(g.labels).tolist()) <= {0, 1}
-    ]
-    return _run(binary[: spec.scaled(160)], lambda g: description_routes(g, spec.seed))
+def _bindable(g: LabeledGraph) -> bool:
+    return g.n > 2 and is_simple(g) and is_connected(g)
 
 
-def _check_strongly_regular_one_round(corpus, spec) -> CheckResult:
-    named = dict(corpus)
-    selection = [
-        (name, named[name]) for name in ("named/petersen", "named/shrikhande", "named/rook4x4")
-    ]
-    return _run(selection, strongly_regular_one_round)
+def _binary_graphs(corpus, spec):
+    """The first spec.scaled(160) 0/1 corpus graphs of order <= 8, each with spec.seed."""
+    binary = _first(8, 160, lambda g: set(np.unique(g.labels).tolist()) <= {0, 1})
+    return [(*case, spec.seed) for case in binary(corpus, spec)]
 
 
-def _connected_simple_up_to(corpus, max_n):
-    return [
-        (name, g)
-        for name, g in _graphs_up_to(corpus, max_n, connected=True)
-        if g.n > 2 and is_simple(g)
-    ]
-
-
-def _check_binding_lemmas(corpus, spec) -> CheckResult:
-    return _run(_connected_simple_up_to(corpus, 6)[: spec.scaled(60)], binding_lemmas)
-
-
-def _check_binding_completeness(corpus, spec) -> CheckResult:
+def _representative_pairs(corpus, spec):
     reps = nonisomorphic_connected_graphs(4)
-    pairs = [(f"reps4/{i}-{j}", a, b) for i, a in enumerate(reps) for j, b in enumerate(reps)]
-    return _run(pairs, binding_completeness)
+    return [(f"reps4/{i}-{j}", a, b) for i, a in enumerate(reps) for j, b in enumerate(reps)]
 
 
-def _check_binding_orbits(corpus, spec) -> CheckResult:
-    return _run(_connected_simple_up_to(corpus, 5)[: spec.scaled(30)], binding_orbits)
-
-
-def _check_gi(corpus, spec) -> CheckResult:
-    res = CheckResult()
+def _gi_triples(corpus, spec):
+    """spec.scaled(40) random connected graphs a of order 3..8 drawn from
+    spec.seed + 3, each with a relabeled copy and another such graph b."""
     rng = np.random.default_rng(spec.seed + 3)
+    cases = []
     for k in range(spec.scaled(40)):
         n = int(rng.integers(3, 9))
         a = random_connected_graph(n, 0.5, seed=int(rng.integers(2**32)))
         sigma = random_permutation(n, seed=int(rng.integers(2**32)))
-        res.cases += 1
-        if not gi_decide(a, permuted(a, sigma)).verdict:
-            res.record(f"gi/perm{k}", a, "a relabeled copy was declared non-isomorphic")
         b = random_connected_graph(n, 0.5, seed=int(rng.integers(2**32)))
-        v1 = gi_decide(a, b).verdict
-        v2 = gi_decide(b, a).verdict
-        oracle = is_isomorphic_bruteforce(a, b) is not None
-        if v1 != v2:
-            res.record(f"gi/sym{k}", a, "verdict is not symmetric in its arguments")
-        if v1 != oracle:
-            res.record(f"gi/oracle{k}", a, f"decision {v1} disagrees with brute force {oracle}")
-    return res
+        cases.append((f"gi/{k}", a, permuted(a, sigma), b))
+    return cases
 
 
-def _check_ff_pitfall(corpus, spec) -> CheckResult:
-    res = CheckResult()
-    g = demo_graph("pitfall21")
-    res.cases += 1
-    pseudo = numeric_ff_stabilize(g)
-    exact = sas_stabilize(g)
-    if is_equivalent(pseudo.stable, exact.stable):
-        res.record("named/pitfall21", g, "numeric shortcut unexpectedly matched the exact rounds")
-    return res
+def _check(select, claim):
+    """The check that runs claim on every case select(corpus, spec) gives."""
+    return lambda corpus, spec: _run(select(corpus, spec), claim)
 
 
 # kind: "implementation" for artifact plumbing whose failure is a code bug,
 # "theorem" for claims imported from the underlying theory whose failure is
 # a reportable finding (serialized for reproduction either way).
 CHECKS = {
-    "substitution_roundtrip": (_check_substitution, "implementation"),
-    "dim_monotone_under_imbedding": (_check_dim_monotone, "implementation"),
-    "refinement_chain": (_limited(12, 80, refinement_chain), "theorem"),
-    "stable_fixpoint_and_recognition": (_limited(10, 60, stable_fixpoint_and_recognition), "theorem"),
-    "square_vs_ordered_pair_vertices": (_limited(30, 300, square_vs_ordered_pair_vertices), "theorem"),
+    "substitution_roundtrip": (_check(lambda corpus, spec: corpus, substitution_roundtrip), "implementation"),
+    "dim_monotone_under_imbedding": (
+        _check(_seeded(_first(12, 120), 1), dim_monotone_under_imbedding),
+        "implementation",
+    ),
+    "refinement_chain": (_check(_first(12, 80), refinement_chain), "theorem"),
+    "stable_fixpoint_and_recognition": (_check(_first(10, 60), stable_fixpoint_and_recognition), "theorem"),
+    "square_vs_ordered_pair_vertices": (_check(_first(30, 300), square_vs_ordered_pair_vertices), "theorem"),
     "square_vs_ordered_pair_round_counts": (
-        _limited(30, 300, square_vs_ordered_pair_round_counts),
+        _check(_first(30, 300), square_vs_ordered_pair_round_counts),
         "theorem",
     ),
-    "relabeling_equivariance": (_check_equivariance, "implementation"),
-    "orbit_coarsening": (_limited(8, 80, orbit_coarsening), "theorem"),
-    "description_routes": (_check_descgraph_routes, "theorem"),
-    "strongly_regular_one_round": (_check_strongly_regular_one_round, "theorem"),
-    "partition_properties": (_limited(14, 120, partition_properties), "theorem"),
-    "binding_lemmas": (_check_binding_lemmas, "theorem"),
-    "binding_completeness": (_check_binding_completeness, "theorem"),
-    "binding_orbits": (_check_binding_orbits, "theorem"),
-    "gi_decision": (_check_gi, "theorem"),
-    "ff_pitfall_regression": (_check_ff_pitfall, "implementation"),
+    "relabeling_equivariance": (_check(_seeded(_first(12, 60), 2), relabeling_equivariance), "implementation"),
+    "orbit_coarsening": (_check(_first(8, 80), orbit_coarsening), "theorem"),
+    "description_routes": (_check(_binary_graphs, description_routes), "theorem"),
+    "strongly_regular_one_round": (
+        _check(_named("petersen", "shrikhande", "rook4x4"), strongly_regular_one_round),
+        "theorem",
+    ),
+    "partition_properties": (_check(_first(14, 120), partition_properties), "theorem"),
+    "binding_lemmas": (_check(_first(6, 60, _bindable), binding_lemmas), "theorem"),
+    "binding_completeness": (_check(_representative_pairs, binding_completeness), "theorem"),
+    "binding_orbits": (_check(_first(5, 30, _bindable), binding_orbits), "theorem"),
+    "gi_decision": (_check(_gi_triples, gi_decision), "theorem"),
+    "ff_pitfall_regression": (_check(_named("pitfall21"), ff_pitfall), "implementation"),
 }
 
 

@@ -237,9 +237,9 @@ def counted_bv_labeling(pi: dict[int, int], n: int) -> BvLabelingReport:
     )
 
 
-#: Labels drawn by `random_bv_labeling`: negative ones, small ones and ones
-#: at 2**62 and above, but never the reserved 0 and 1.
-BV_LABELS = [-(2**62), -7, -1, 2, 3, 5, 2**62, 2**62 + 9, 2**63 - 1]
+#: Labels drawn by `random_bv_labeling`: negative ones down to -2**63, small
+#: ones and ones at 2**62 and above, but never the reserved 0 and 1.
+BV_LABELS = [-(2**62), -7, -1, 2, 3, 5, 2**62, 2**62 + 9, 2**63 - 1, -(2**63)]
 
 
 def random_bv_labeling(rng: np.random.Generator, b: BindingGraph) -> dict[int, int]:
@@ -305,7 +305,7 @@ class TestPlainBindingAndLabelings:
         rng = np.random.default_rng(18)
         answers = {True: 0, False: 0}
         for k in range(1200):
-            n = 2 + k % 6
+            n = 2 + k % 11
             pi = random_bv_labeling(rng, plain_binding_graph(n))
             report = check_stable_bv_labeling(pi, n)
             assert report == counted_bv_labeling(pi, n), (n, pi)

@@ -194,3 +194,15 @@ class TestThreeWay:
             gamma = gamma_description_graph(g)
             assert is_equivalent(gamma, adjoint_description_graph(g, seed=k))
             assert is_equivalent(gamma, spectral_description_graph(g))
+
+    def test_single_vertex(self):
+        """Order 1 needs no case of its own: one vertex is one class."""
+        for label in (0, 1, 5):
+            g = LabeledGraph(np.array([[label]]))
+            assert gamma_description_graph(g).labels.tolist() == [[1]]
+            assert gamma_description_graph(g, t=3).labels.tolist() == [[1]]
+            if label == 5:
+                with pytest.raises(GraphError, match="0/1"):
+                    spectral_description_graph(g)
+            else:
+                assert spectral_description_graph(g).labels.tolist() == [[1]]

@@ -4,19 +4,23 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
 import graphbind.validate as validate
 from graphbind.binding import binding_graph
-from graphbind.core import DirectedLabeledGraph, LabeledGraph
-from graphbind.corpus import cycle_graph, path_graph, random_connected_graph
+from graphbind.core import DirectedLabeledGraph, LabeledGraph, permuted
+from graphbind.corpus import cycle_graph, demo_graph, path_graph, random_connected_graph, random_permutation
 from graphbind.refine import StabilizationTrace, sas_stabilize, wl_stabilize
 from graphbind.validate import (
     CHECKS,
     CorpusSpec,
     _run,
     build_corpus,
+    ff_pitfall,
+    gi_decision,
+    relabeling_equivariance,
     square_vs_ordered_pair_round_counts,
     validate_suite,
 )
@@ -58,6 +62,65 @@ def test_violations_carry_reproducible_instances():
         assert rounds[0] != rounds[1]
         assert rounds == (case["square_rounds"], case["ordered_rounds"])
         assert violation["detail"] == f"round counts differ: {rounds[0]} vs {rounds[1]}"
+
+
+def test_every_check_is_a_callable_and_a_kind():
+    for name, value in CHECKS.items():
+        check, kind = value
+        assert callable(check), name
+        assert kind in ("implementation", "theorem"), name
+
+
+def test_gi_decision_and_ff_pitfall_hold():
+    a = random_connected_graph(7, 0.5, seed=5)
+    b = random_connected_graph(7, 0.5, seed=6)
+    assert gi_decision(a, permuted(a, random_permutation(7, seed=7)), b) == []
+    assert ff_pitfall(demo_graph("pitfall21")) == []
+
+
+def replayed(finding: dict) -> tuple:
+    """The case of a serialized finding, read back from its JSON alone."""
+
+    def read(x):
+        return LabeledGraph(np.asarray(x["labels"])) if isinstance(x, dict) else x
+
+    return read(finding["graph"]), *map(read, finding.get("arguments", []))
+
+
+class TestFindingsReplay:
+    """Findings of claims that take arguments replay as claim(graph, *arguments)."""
+
+    @staticmethod
+    def assert_replays(check: str, claim, spec: CorpusSpec) -> list[dict]:
+        findings = json.loads(json.dumps(CHECKS[check][0](build_corpus(spec), spec).violations))
+        assert findings
+        for finding in findings:
+            assert set(finding) == {"instance", "detail", "graph", "arguments"}
+            assert finding["detail"] in claim(*replayed(finding)), finding["instance"]
+        return findings
+
+    def test_gi_decision(self, monkeypatch):
+        # A verdict that depends on the order of the arguments and the
+        # numbering of vertex 0 breaks every clause of the claim.
+        def decide(a, b):
+            return SimpleNamespace(verdict=bool(a.labels[0].sum() >= b.labels[0].sum()))
+
+        monkeypatch.setattr(validate, "gi_decide", decide)
+        findings = self.assert_replays("gi_decision", gi_decision, CorpusSpec())
+        assert {f["instance"] for f in findings} <= {f"gi/{k}" for k in range(40)}
+        assert all(len(f["arguments"]) == 2 for f in findings)
+        assert {f["detail"].split(" ")[0] for f in findings} == {"a", "verdict", "decision"}
+
+    def test_relabeling_equivariance(self, monkeypatch):
+        # A stable graph that marks vertex 0 is not relabeled with the input.
+        def stabilize(g):
+            labels = g.labels.copy()
+            labels[0, 0] = labels.max() + 1
+            return StabilizationTrace(LabeledGraph(labels), 0)
+
+        monkeypatch.setattr(validate, "sas_stabilize", stabilize)
+        findings = self.assert_replays("relabeling_equivariance", relabeling_equivariance, CorpusSpec(quick=True))
+        assert all(isinstance(f["arguments"][0], int) for f in findings)
 
 
 def test_corpus_contains_named_and_exhaustive_parts():
