@@ -32,7 +32,6 @@ class GiResult:
     partition: Partition
     rounds: int
     dims: list[int]
-    basic_cells: list[list[int]] = field(default_factory=list)
     unmixed_cells: list[list[int]] = field(default_factory=list)
     anomalies: list[str] = field(default_factory=list)
 
@@ -110,7 +109,6 @@ def gi_decide(
         partition=partition,
         rounds=trace.rounds,
         dims=list(trace.dims),
-        basic_cells=basic_cells,
         unmixed_cells=unmixed,
         anomalies=anomalies,
     )

@@ -6,8 +6,10 @@ between them, and they agree up to relabeling:
 * the truncated walk-generating matrix, built exactly over symbolic walk
   polynomials (the production route for correctness checks),
 * the spectral route through eigenprojectors, defined for real 0/1 inputs,
+  which checks once that its eigenvectors are orthonormal,
 * the adjugate of the characteristic matrix, decided by randomized
-  evaluation over a large prime field (one-sided Monte Carlo).
+  evaluation over a large prime field (one-sided Monte Carlo); it compares
+  the entries of the inverse, since adj = det * inv with det != 0.
 
 Walks step over non-blank entries only, so in every route the blank label
 behaves as the annihilating zero: it is a reserved marker, not one of the
@@ -121,8 +123,8 @@ def minimal_polynomial_degree(a: LabeledGraph, tol: float = 1e-6) -> int:
     one.
     """
     _require_binary(a)
-    eigenvalues = np.linalg.eigvalsh(a.labels.astype(float))
-    return int(_cluster_sorted(np.sort(eigenvalues), tol).max()) + 1
+    eigenvalues = np.linalg.eigvalsh(a.labels.astype(float))  # ascending
+    return int(_cluster_sorted(eigenvalues, tol).max()) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -137,14 +139,6 @@ class SpectralDecomposition:
     tol: float
     ill_conditioned: bool
 
-    def __post_init__(self) -> None:
-        n = self.projectors[0].shape[0]
-        for i, p in enumerate(self.projectors):
-            for j, q in enumerate(self.projectors):
-                expect = p if i == j else np.zeros((n, n))
-                if not np.allclose(p @ q, expect, atol=max(self.tol, 1e-8)):
-                    raise GraphError("projectors are not mutually orthogonal idempotents")
-
 
 def _require_binary(a: LabeledGraph) -> None:
     if not set(np.unique(a.labels).tolist()) <= {0, 1}:
@@ -152,9 +146,7 @@ def _require_binary(a: LabeledGraph) -> None:
 
 
 def _cluster_sorted(values: np.ndarray, tol: float) -> np.ndarray:
-    """Cluster ids for a sorted 1-D array, splitting at gaps larger than tol."""
-    if values.size == 0:
-        return np.zeros(0, dtype=np.int64)
+    """Cluster ids for a sorted non-empty 1-D array, splitting at gaps larger than tol."""
     breaks = np.diff(values) > tol
     return np.concatenate([[0], np.cumsum(breaks)]).astype(np.int64)
 
@@ -163,26 +155,29 @@ def spectral_decomposition(a: LabeledGraph, tol: float = 1e-9) -> SpectralDecomp
     _require_binary(a)
     if tol <= 0:
         raise GraphError("tolerance must be positive")
-    values, vectors = np.linalg.eigh(a.labels.astype(float))
+    matrix = a.labels.astype(float)
+    values, vectors = np.linalg.eigh(matrix)
+    # Projectors onto spans of orthonormal eigenvectors are mutually
+    # orthogonal idempotents, so this one product checks all of them.
+    if not np.allclose(vectors.T @ vectors, np.eye(a.n), atol=max(tol, 1e-8)):
+        raise GraphError("eigenvectors are not orthonormal")
     ids = _cluster_sorted(values, tol)
     eigenvalues = []
     projectors = []
-    gaps_ok = True
     for k in range(int(ids.max()) + 1):
         sel = ids == k
         eigenvalues.append(float(values[sel].mean()))
         basis = vectors[:, sel]
         projectors.append(basis @ basis.T)
-    if len(eigenvalues) > 1:
-        gaps_ok = bool(np.diff(np.sort(eigenvalues)).min() >= 10 * tol)
     recon = sum(mu * p for mu, p in zip(eigenvalues, projectors))
-    if not np.allclose(recon, a.labels.astype(float), atol=max(tol, 1e-8)):
+    if not np.allclose(recon, matrix, atol=max(tol, 1e-8)):
         raise GraphError("eigendecomposition failed to reconstruct the matrix")
     return SpectralDecomposition(
         eigenvalues=tuple(eigenvalues),
         projectors=tuple(projectors),
         tol=tol,
-        ill_conditioned=not gaps_ok,
+        # The cluster means ascend with the clusters.
+        ill_conditioned=bool((np.diff(eigenvalues) < 10 * tol).any()),
     )
 
 
@@ -207,18 +202,18 @@ def spectral_description_graph(a: LabeledGraph, tol: float = 1e-9) -> LabeledGra
         ids[order] = _cluster_sorted(flat[order], tol)
         clusters.append(ids)
     # A position's signature is its tuple of cluster ids, one per projector.
-    return equivalent_variable_substitution(first_encounter_relabel(*clusters).reshape(a.n, a.n))
+    _, signature = np.unique(np.column_stack(clusters), axis=0, return_inverse=True)
+    return equivalent_variable_substitution(signature.reshape(a.n, a.n))
 
 
 # ---------------------------------------------------------------------------
 # Adjugate route.
 
-def _modular_adjugate(m: list[list[int]], p: int) -> list[list[int]] | None:
-    """adj(M) = det(M) * inv(M) mod p; None when M is singular mod p."""
+def _modular_inverse(m: list[list[int]], p: int) -> list[list[int]] | None:
+    """inv(M) mod p by Gauss-Jordan elimination; None when M is singular mod p."""
     n = len(m)
     a = [row[:] for row in m]
     inv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    det = 1
     for col in range(n):
         pivot = next((r for r in range(col, n) if a[r][col] % p), None)
         if pivot is None:
@@ -226,8 +221,6 @@ def _modular_adjugate(m: list[list[int]], p: int) -> list[list[int]] | None:
         if pivot != col:
             a[col], a[pivot] = a[pivot], a[col]
             inv[col], inv[pivot] = inv[pivot], inv[col]
-            det = -det % p
-        det = det * a[col][col] % p
         scale = pow(a[col][col], p - 2, p)
         a[col] = [x * scale % p for x in a[col]]
         inv[col] = [x * scale % p for x in inv[col]]
@@ -236,7 +229,7 @@ def _modular_adjugate(m: list[list[int]], p: int) -> list[list[int]] | None:
                 factor = a[r][col]
                 a[r] = [(x - factor * y) % p for x, y in zip(a[r], a[col])]
                 inv[r] = [(x - factor * y) % p for x, y in zip(inv[r], inv[col])]
-    return [[det * x % p for x in row] for row in inv]
+    return inv
 
 
 def adjoint_description_graph(a: LabeledGraph, seed: int | None = None) -> LabeledGraph:
@@ -263,9 +256,11 @@ def adjoint_description_graph(a: LabeledGraph, seed: int | None = None) -> Label
             [((lam if i == j else 0) - assignment[int(a.labels[i, j])]) % ADJOINT_PRIME for j in range(n)]
             for i in range(n)
         ]
-        adj = _modular_adjugate(m, ADJOINT_PRIME)
-        if adj is None:
+        # adj(M) = det(M) * inv(M) with det(M) != 0 mod p whenever inv(M)
+        # exists, so the same entries of a sample are equal in both.
+        inv = _modular_inverse(m, ADJOINT_PRIME)
+        if inv is None:
             continue  # unlucky lambda hit an eigenvalue mod p; resample
-        samples.append(adj)
+        samples.append(inv)
     # A position's code is its tuple of evaluations, one per sample.
     return equivalent_variable_substitution(first_encounter_relabel(*np.array(samples, dtype=np.int64)))

@@ -2,10 +2,23 @@
 
 from __future__ import annotations
 
+import random
+import warnings
+
 import numpy as np
 import pytest
 
-from graphbind.core import GraphError, LabeledGraph, dim, is_equivalent, is_imbedded
+import graphbind.descgraph as descgraph
+from graphbind.core import (
+    BLANK,
+    GraphError,
+    LabeledGraph,
+    dim,
+    equivalent_variable_substitution,
+    first_encounter_relabel,
+    is_equivalent,
+    is_imbedded,
+)
 from graphbind.corpus import (
     all_graphs,
     complete_graph,
@@ -15,6 +28,8 @@ from graphbind.corpus import (
     random_graph,
 )
 from graphbind.descgraph import (
+    ADJOINT_PRIME,
+    ADJOINT_TRIALS,
     BudgetExceededError,
     adjoint_description_graph,
     gamma_description_graph,
@@ -206,3 +221,162 @@ class TestThreeWay:
                     spectral_description_graph(g)
             else:
                 assert spectral_description_graph(g).labels.tolist() == [[1]]
+
+
+class TestAgainstTheFormerRoutes:
+    """The routes as they were before they stopped computing what no
+    comparison reads, kept here as the reference: the spectral route
+    checked every pair of projectors and refolded its signature once per
+    projector, and the adjugate route scaled each inverse by its determinant.
+    """
+
+    @staticmethod
+    def former_cluster_sorted(values, tol):
+        if values.size == 0:
+            return np.zeros(0, dtype=np.int64)
+        breaks = np.diff(values) > tol
+        return np.concatenate([[0], np.cumsum(breaks)]).astype(np.int64)
+
+    def former_spectral(self, a, tol=1e-9):
+        """(labels, ill_conditioned) of the former spectral route."""
+        values, vectors = np.linalg.eigh(a.labels.astype(float))
+        ids = self.former_cluster_sorted(values, tol)
+        eigenvalues, projectors = [], []
+        gaps_ok = True
+        for k in range(int(ids.max()) + 1):
+            sel = ids == k
+            eigenvalues.append(float(values[sel].mean()))
+            basis = vectors[:, sel]
+            projectors.append(basis @ basis.T)
+        if len(eigenvalues) > 1:
+            gaps_ok = bool(np.diff(np.sort(eigenvalues)).min() >= 10 * tol)
+        recon = sum(mu * p for mu, p in zip(eigenvalues, projectors))
+        assert np.allclose(recon, a.labels.astype(float), atol=max(tol, 1e-8))
+        for i, p in enumerate(projectors):
+            for j, q in enumerate(projectors):
+                expect = p if i == j else np.zeros((a.n, a.n))
+                assert np.allclose(p @ q, expect, atol=max(tol, 1e-8))
+        clusters = []
+        for proj in projectors:
+            proj = (proj + proj.T) / 2.0
+            flat = proj.ravel()
+            order = np.argsort(flat, kind="stable")
+            cluster = np.empty_like(order)
+            cluster[order] = self.former_cluster_sorted(flat[order], tol)
+            clusters.append(cluster)
+        codes = first_encounter_relabel(*clusters).reshape(a.n, a.n)
+        return equivalent_variable_substitution(codes).labels, not gaps_ok
+
+    @staticmethod
+    def former_adjugate(m, p):
+        n = len(m)
+        a = [row[:] for row in m]
+        inv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+        det = 1
+        for col in range(n):
+            pivot = next((r for r in range(col, n) if a[r][col] % p), None)
+            if pivot is None:
+                return None
+            if pivot != col:
+                a[col], a[pivot] = a[pivot], a[col]
+                inv[col], inv[pivot] = inv[pivot], inv[col]
+                det = -det % p
+            det = det * a[col][col] % p
+            scale = pow(a[col][col], p - 2, p)
+            a[col] = [x * scale % p for x in a[col]]
+            inv[col] = [x * scale % p for x in inv[col]]
+            for r in range(n):
+                if r != col and a[r][col]:
+                    factor = a[r][col]
+                    a[r] = [(x - factor * y) % p for x, y in zip(a[r], a[col])]
+                    inv[r] = [(x - factor * y) % p for x, y in zip(inv[r], inv[col])]
+        return [[det * x % p for x in row] for row in inv]
+
+    def former_adjoint(self, a, seed):
+        rng = random.Random(seed)
+        labels = np.unique(a.labels).tolist()
+        samples = []
+        while len(samples) < ADJOINT_TRIALS:
+            assignment = {
+                label: (0 if label == BLANK else rng.randrange(ADJOINT_PRIME)) for label in labels
+            }
+            lam = rng.randrange(ADJOINT_PRIME)
+            m = [
+                [((lam if i == j else 0) - assignment[int(a.labels[i, j])]) % ADJOINT_PRIME for j in range(a.n)]
+                for i in range(a.n)
+            ]
+            adj = self.former_adjugate(m, ADJOINT_PRIME)
+            if adj is not None:
+                samples.append(adj)
+        codes = first_encounter_relabel(*np.array(samples, dtype=np.int64))
+        return equivalent_variable_substitution(codes).labels
+
+    @staticmethod
+    def graphs(orders):
+        """Every graph of order <= 5, then a seeded random symmetric 0/1
+        matrix, loops allowed, for each of `orders`."""
+        for n in range(1, 6):
+            yield from all_graphs(n)
+        rng = np.random.default_rng(20240901)
+        for n in orders:
+            upper = np.triu(rng.random((n, n)) < rng.uniform(0.2, 0.8))
+            yield LabeledGraph((upper | upper.T).astype(np.int64))
+
+    def test_spectral_route_unchanged(self):
+        checked = ill = 0
+        for g in self.graphs(range(6, 41)):
+            for tol in (1e-9, 0.05) if g.n <= 5 else (1e-9,):
+                expected, expected_ill = self.former_spectral(g, tol)
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    labels = spectral_description_graph(g, tol).labels
+                assert np.array_equal(labels, expected), g.labels.tolist()
+                assert spectral_decomposition(g, tol).ill_conditioned == expected_ill
+                assert [w.category for w in caught] == [RuntimeWarning] * expected_ill
+                checked += 1
+                ill += expected_ill
+        assert checked > 2000 and ill > 0
+
+    def test_adjugate_route_unchanged(self):
+        for k, g in enumerate(self.graphs(range(6, 13))):
+            assert np.array_equal(
+                adjoint_description_graph(g, seed=k).labels, self.former_adjoint(g, k)
+            ), g.labels.tolist()
+
+
+class TestGuards:
+    def test_non_orthonormal_eigenvectors_rejected(self, monkeypatch):
+        eigh = np.linalg.eigh
+
+        def stretched(m):
+            values, vectors = eigh(m)
+            return values, 2 * vectors
+
+        monkeypatch.setattr(np.linalg, "eigh", stretched)
+        with pytest.raises(GraphError, match="orthonormal"):
+            spectral_decomposition(petersen_graph())
+
+    def test_failed_reconstruction_rejected(self, monkeypatch):
+        eigh = np.linalg.eigh
+
+        def shifted(m):
+            values, vectors = eigh(m)
+            return values + 1.0, vectors
+
+        monkeypatch.setattr(np.linalg, "eigh", shifted)
+        with pytest.raises(GraphError, match="reconstruct"):
+            spectral_decomposition(petersen_graph())
+
+    def test_singular_lambda_is_redrawn(self, monkeypatch):
+        draws = []
+
+        class ZeroFirst(random.Random):
+            def randrange(self, *args):
+                draws.append(0 if not draws else super().randrange(*args))
+                return draws[-1]
+
+        monkeypatch.setattr(descgraph.random, "Random", ZeroFirst)
+        # On [[0]] the blank draws no value, so the first draw is lambda.
+        out = adjoint_description_graph(LabeledGraph(np.array([[0]])), seed=3)
+        assert out.labels.tolist() == [[1]]
+        assert draws[0] == 0 and len(draws) == ADJOINT_TRIALS + 1

@@ -47,6 +47,15 @@ its two basic vertices, under a random colouring with up to three colours,
 or, one time in four, each binding vertex on its own.  Labels include
 negative ones and ones at 2**62 and above, and both answers occur.
 
+The `descgraph` line digests the description-graph routes, in order, for
+every 0/1 quick-corpus graph of order <= 10 and then `DESCGRAPH_RANDOM`
+seeded random 0/1 graphs of orders 11-40: the labels of
+`spectral_description_graph`, the eigenvalue count and `ill_conditioned` of
+`spectral_decomposition`, `minimal_polynomial_degree`, and the labels of
+`adjoint_description_graph(g, seed=k)` for the k-th graph; then the labels
+of `gamma_description_graph` on the corpus graphs only.  The audit compares
+these routes only up to relabeling, so no other line sees their numbering.
+
 Two more lines digest the quick and the full `validate_suite` report: the
 number of violations and the first 16 hex digits of a sha256 over every
 check's entry without its `seconds`, the same entries the benchmark's
@@ -60,6 +69,7 @@ import hashlib
 import json
 import os
 import sys
+import warnings
 from pathlib import Path
 
 # Single-threaded BLAS, as in the benchmark, set before numpy is imported.
@@ -77,6 +87,7 @@ ORACLE_MAX_ORDER = 10
 ORACLE_SEED = 20240901
 BVLABELS_PER_ORDER = 50
 BVLABEL_VALUES = [-(2**62), -7, -1, 2, 3, 5, 2**62, 2**62 + 9, 2**63 - 1]
+DESCGRAPH_RANDOM = 20
 
 
 def import_graphbind(src: Path):
@@ -170,6 +181,45 @@ def bvlabel_results() -> list:
     return results
 
 
+def descgraph_results() -> list:
+    """The outputs the `descgraph` line digests, in order."""
+    import numpy as np
+    from graphbind.corpus import random_graph
+    from graphbind.descgraph import (
+        adjoint_description_graph,
+        gamma_description_graph,
+        minimal_polynomial_degree,
+        spectral_decomposition,
+        spectral_description_graph,
+    )
+    from graphbind.validate import CorpusSpec, build_corpus
+
+    corpus = [
+        g
+        for _, g in build_corpus(CorpusSpec(quick=True))
+        if g.n <= ORACLE_MAX_ORDER and set(np.unique(g.labels).tolist()) <= {0, 1}
+    ]
+    rng = np.random.default_rng(ORACLE_SEED)
+    randoms = [
+        random_graph(int(rng.integers(11, 41)), float(rng.uniform(0.2, 0.8)), seed=int(rng.integers(2**32)))
+        for _ in range(DESCGRAPH_RANDOM)
+    ]
+    results: list = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # ill_conditioned is digested
+        for k, g in enumerate(corpus + randoms):
+            dec = spectral_decomposition(g)
+            results.append([
+                spectral_description_graph(g).labels.tolist(),
+                len(dec.eigenvalues),
+                dec.ill_conditioned,
+                minimal_polynomial_degree(g),
+                adjoint_description_graph(g, seed=k).labels.tolist(),
+            ])
+    results += [gamma_description_graph(g).labels.tolist() for g in corpus]
+    return results
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("src", type=Path, help="src/ directory holding graphbind")
@@ -260,6 +310,9 @@ def main(argv: list[str] | None = None) -> int:
     digest = hashlib.sha256(json.dumps(results).encode()).hexdigest()
     stable = sum(result[0] for result in results)
     print(f"{'bvlabel':28s} calls={len(results):<5d} sha256={digest} stable={stable}", flush=True)
+    results = descgraph_results()
+    digest = hashlib.sha256(json.dumps(results).encode()).hexdigest()
+    print(f"{'descgraph':28s} calls={len(results):<5d} sha256={digest}", flush=True)
     for mode in ("quick", "full"):
         report = validate_suite(CorpusSpec(quick=mode == "quick"))
         line = f"{mode + ' report':28s} violations={report['violation_total']:<5d}"
