@@ -66,12 +66,27 @@ class BindingGraph:
             raise GraphError("a pair consists of two distinct basic vertices")
         return self.binder[(min(u, v), max(u, v))]
 
+    def lift(self, pi: np.ndarray) -> np.ndarray:
+        """The vertex permutation of the binding graph that a permutation `pi`
+        of the basic vertices induces: basic v to pi[v], and the binder of
+        {u, v} to the binder of {pi[u], pi[v]}, numbered by `pair_rank`.  It
+        preserves the binding graph iff `pi` preserves the basic graph."""
+        n = self.basic_n
+        u, v = np.triu_indices(n, 1)
+        u, v = pi[u], pi[v]
+        return np.concatenate((pi, n + _pair_ranks(np.minimum(u, v), np.maximum(u, v), n)))
+
+
+def _pair_ranks(u, v, n: int):
+    """`pair_rank` unchecked, elementwise over arrays too."""
+    return u * n - u * (u + 1) // 2 + (v - u - 1)
+
 
 def pair_rank(u: int, v: int, n: int) -> int:
     """Lexicographic rank of the pair (u, v), u < v, among all pairs of [0..n)."""
     if not 0 <= u < v < n:
         raise GraphError("need 0 <= u < v < n")
-    return u * n - u * (u + 1) // 2 + (v - u - 1)
+    return _pair_ranks(u, v, n)
 
 
 def _normalized_simple(a: LabeledGraph) -> np.ndarray:

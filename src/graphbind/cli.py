@@ -14,12 +14,12 @@ import sys
 from . import __version__
 from .binding import binding_graph, build_phi, build_psi, build_theta
 from .core import DirectedLabeledGraph, GraphError, LabeledGraph
-from .decide import DEFAULT_MAX_BINDING_ORDER, gi_decide
+from .decide import DEFAULT_MAX_BINDING_ORDER, check_binding_order, gi_decide
 from .descgraph import adjoint_description_graph, gamma_description_graph, spectral_description_graph
-from .graphio import FORMATS, guess_format, read_graph, write_graph
+from .graphio import FORMATS, guess_format, read_graph, read_order, write_graph
 from .oracle import automorphism_orbits, is_isomorphic_bruteforce
 from .partition import partition_json
-from .refine import kpower_stabilize, sas_stabilize, wl_stabilize
+from .refine import kpower_stabilize, sas_stabilize, search_automorphisms, wl_stabilize
 from .validate import CorpusSpec, validate_suite
 
 
@@ -85,7 +85,7 @@ def cmd_binding(args) -> int:
 def cmd_derived(args) -> int:
     g = _read(args.infile, args.format)
     b = binding_graph(g)
-    stable = sas_stabilize(b.graph).stable
+    stable = sas_stabilize(b.graph, automorphisms=[b.lift(pi) for pi in search_automorphisms(g)]).stable
     if args.which == "psi":
         out = build_psi(b, stable)
     elif args.which == "phi":
@@ -114,8 +114,16 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_gi(args) -> int:
-    a = _read(args.a, args.format)
-    b = _read(args.b, args.format)
+    # The budget is checked from the files' headers before either is read in
+    # full; a file whose header gives no order is read first.
+    paths = (args.a, args.b)
+    orders = [read_order(path, args.format or guess_format(path)) for path in paths]
+    graphs = [_read(path, args.format) if order is None else None for path, order in zip(paths, orders)]
+    orders = [g.n if order is None else order for order, g in zip(orders, graphs)]
+    if orders[0] != orders[1]:
+        raise GraphError(f"orders differ: {orders[0]} != {orders[1]}")
+    check_binding_order(orders[0], args.max_binding_order)
+    a, b = (_read(path, args.format) if g is None else g for g, path in zip(graphs, paths))
     result = gi_decide(a, b, process=args.process, max_binding_order=args.max_binding_order)
     if args.json:
         with open(args.json, "w") as fh:

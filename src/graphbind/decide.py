@@ -1,7 +1,8 @@
 """The isomorphism decision procedure over binding graphs.
 
 Two connected simple graphs of the same order are joined into one wing
-graph, its binding graph is stabilized, and the verdict is read off the
+graph, its binding graph is stabilized under the lifts of the automorphisms
+that one search of the wing graph finds, and the verdict is read off the
 cells of the stable vertex partition: YES iff every basic cell other than
 the apex singleton mixes vertices of both copies.
 
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 from .binding import binding_graph, wing_graph
 from .core import GraphError, LabeledGraph, Partition, is_connected, is_simple
 from .partition import vertex_partition
-from .refine import StabilizationTrace, max_evaluated_order, sas_stabilize, wl_stabilize
+from .refine import StabilizationTrace, max_evaluated_order, sas_stabilize, search_automorphisms, wl_stabilize
 
 #: Refuse binding graphs beyond this order by default (rounds cost O(order^3)).
 DEFAULT_MAX_BINDING_ORDER = 5000
@@ -46,6 +47,16 @@ class GiResult:
         }
 
 
+def check_binding_order(n: int, max_binding_order: int) -> None:
+    """Refuse two graphs of order n whose wing graph's binding graph, of order
+    (2n+1)(2n+2)/2, is above `max_binding_order` or the exact-round bound."""
+    order = (2 * n + 1) * (2 * n + 2) // 2
+    if order > max_binding_order:
+        raise GraphError(f"binding graph order {order} exceeds the budget {max_binding_order}")
+    if order > max_evaluated_order():
+        raise GraphError(f"binding graph order {order} is above the exact-round bound {max_evaluated_order()}")
+
+
 def gi_decide(
     a1: LabeledGraph,
     a2: LabeledGraph,
@@ -56,7 +67,9 @@ def gi_decide(
     """Decide isomorphism of two connected simple graphs of equal order n > 1.
 
     Steps: build the wing graph of order 2n+1, its binding graph of order
-    (2n+1)(2n+2)/2, stabilize, form the vertex partition, and check that
+    (2n+1)(2n+2)/2, search the wing graph's automorphisms and lift them to
+    the binding graph, stabilize under them (they change how the rounds are
+    computed, not their labels), form the vertex partition, and check that
     every basic cell apart from the apex singleton contains vertices from
     both copies.
     """
@@ -73,15 +86,12 @@ def gi_decide(
         raise GraphError(f"unknown process {process!r}")
 
     n = a1.n
-    order = (2 * n + 1) * (2 * n + 2) // 2
-    if order > max_binding_order:
-        raise GraphError(f"binding graph order {order} exceeds the budget {max_binding_order}")
-    if order > max_evaluated_order():
-        raise GraphError(f"binding graph order {order} is above the exact-round bound {max_evaluated_order()}")
-    bound = binding_graph(wing_graph(a1, a2))
-    trace: StabilizationTrace = (
-        sas_stabilize(bound.graph) if process == "sas" else wl_stabilize(bound.graph)
-    )
+    check_binding_order(n, max_binding_order)
+    wing = wing_graph(a1, a2)
+    bound = binding_graph(wing)
+    lifts = [bound.lift(pi) for pi in search_automorphisms(wing)]
+    stabilize = sas_stabilize if process == "sas" else wl_stabilize
+    trace: StabilizationTrace = stabilize(bound.graph, automorphisms=lifts)
     partition = vertex_partition(trace.stable)
 
     apex = 2 * n

@@ -43,6 +43,34 @@ def read_graph(path: str | os.PathLike, format: Format) -> LabeledGraph:
     return loads_graph(_read_ascii(path), format)
 
 
+#: The most bytes `read_order` reads of a header line.
+HEADER_BYTES = 64
+
+
+def read_order(path: str | os.PathLike, format: Format) -> int | None:
+    """The order a graph6 or edgelist file states in its first non-blank line,
+    read without the rest of the file.
+
+    None for matrix-json, whose size already bounds its matrix, and for a
+    header that does not give an order the full read would accept; the full
+    read reports what is wrong with it.
+    """
+    if format not in ("graph6", "edgelist"):
+        return None
+    with open(path, "rb") as fh:
+        line = fh.readline(HEADER_BYTES)
+        while line and not line.strip():
+            line = fh.readline(HEADER_BYTES)
+    try:
+        text = line.decode("ascii").strip()
+        if format == "graph6":
+            return _graph6_order(text.removeprefix(">>graph6<<"))[0]
+        cut = len(line) == HEADER_BYTES and not line.endswith(b"\n")
+        return None if cut else _edgelist_order(text, 1)
+    except (UnicodeDecodeError, ParseError):
+        return None
+
+
 def write_graph(g: AnyGraph, path: str | os.PathLike, format: Format) -> None:
     """Write `g` in `format`; of the formats only matrix-json carries a directed graph."""
     with open(path, "w", encoding="ascii") as fh:
@@ -90,14 +118,11 @@ def _graph6_sextets(chars: str, offset: int) -> np.ndarray:
     return (codes - 63).astype(np.uint8)
 
 
-def _parse_graph6(text: str) -> LabeledGraph:
-    line = text.strip().splitlines()[0].strip() if text.strip() else ""
-    if line.startswith(">>graph6<<"):
-        line = line[len(">>graph6<<"):]
+def _graph6_order(line: str) -> tuple[int, int]:
+    """The order in the size header of a graph6 line, bounded, and the column
+    where its body starts.  The header takes at most 8 characters."""
     if not line:
         raise ParseError("empty graph6 input", 1)
-    # The size header takes at most 8 characters; the order is bounded
-    # before the body is decoded.
     data = _graph6_sextets(line[:8], 0)
     if data[0] <= 62:
         n, start = int(data[0]), 1
@@ -113,6 +138,13 @@ def _parse_graph6(text: str) -> LabeledGraph:
         raise ParseError("graph6 order must be at least 1", 1)
     if n > max_evaluated_order():
         raise ParseError(f"graph6 order {n} is above the largest order {max_evaluated_order()}", 1)
+    return n, start
+
+
+def _parse_graph6(text: str) -> LabeledGraph:
+    line = text.strip().splitlines()[0].strip().removeprefix(">>graph6<<") if text.strip() else ""
+    # The order is bounded before the body is decoded.
+    n, start = _graph6_order(line)
     body = _graph6_sextets(line[start:], start)
     need = (n * (n - 1) // 2 + 5) // 6
     if len(body) != need:
@@ -145,21 +177,27 @@ def _emit_graph6(g: LabeledGraph) -> str:
 # ---------------------------------------------------------------------------
 # Whitespace edgelist: first line n, then one 1-based edge per line.
 
+def _edgelist_order(first: str, line_no: int) -> int:
+    """The vertex count on the first line, `line_no`, of an edgelist, checked
+    before the n x n matrix is allocated: no larger graph can be refined."""
+    try:
+        n = int(first.strip())
+    except ValueError:
+        raise ParseError("first line must be the vertex count", line_no) from None
+    if n < 1:
+        raise ParseError("vertex count must be at least 1", line_no)
+    if n > max_evaluated_order():
+        raise ParseError(f"vertex count {n} is above the largest order {max_evaluated_order()}", line_no)
+    return n
+
+
 def _parse_edgelist(text: str) -> LabeledGraph:
     lines = text.splitlines()
     meaningful = [(i + 1, line) for i, line in enumerate(lines) if line.strip()]
     if not meaningful:
         raise ParseError("empty edgelist", 1)
     first_no, first = meaningful[0]
-    try:
-        n = int(first.strip())
-    except ValueError:
-        raise ParseError("first line must be the vertex count", first_no) from None
-    if n < 1:
-        raise ParseError("vertex count must be at least 1", first_no)
-    # Checked before the n x n matrix is allocated; no larger graph can be refined.
-    if n > max_evaluated_order():
-        raise ParseError(f"vertex count {n} is above the largest order {max_evaluated_order()}", first_no)
+    n = _edgelist_order(first, first_no)
     out = np.zeros((n, n), dtype=np.int64)
     for line_no, line in meaningful[1:]:
         parts = line.split()

@@ -22,15 +22,21 @@ them numbers the round.  Every round numbers its labels 1..d, so the loop
 reads a round's dimension off its largest label, and a round whose entries
 all differ is stable without another round.  Every other round that grows
 the dimension is checked exactly, the diagonal entries' rows first, and a
-stable iterate is returned at once.  Before comparing every class, a
-best-effort individualization-refinement search (`_automorphisms`) looks
-for vertex permutations that preserve every label, and verifies each one it
-returns.  Such a permutation maps each entry's pair codes onto its image's
-term by term, so an entry that one of them maps to a smaller position need
-not be checked; at least one entry of every orbit still is.  Where a
-collision hid a split, the reference round runs and refinement continues,
-so the stable graph returned is always the exact one, numbered as the
-reference rounds number it.
+stable iterate is returned at once.  Where a collision hid a split, the
+reference round runs and refinement continues, so the stable graph returned
+is always the exact one, numbered as the reference rounds number it.
+
+`search_automorphisms` finds label-preserving vertex permutations by
+individualization-refinement (McKay & Piperno 2014) and verifies each one;
+`gi_decide` runs it once per decision, on the wing graph, and lifts what it
+finds to the binding graph.  The stabilization loops take such permutations
+(`automorphisms=`), check each once against the seeded graph, and use the
+group they generate twice.  An evaluated round computes its products for one
+row per vertex orbit and reads every entry off its orbit's row, with the
+full product's values, when there are fewer orbits than half the vertices.
+The check compares one entry per orbit, since an automorphism maps each
+entry's pair codes onto its image's term by term.  Without permutations,
+both run in full.
 
 The numeric first-come-first-served variant that loses exactness -- it feeds
 numbers, not independent variables, into the next product -- is kept as
@@ -39,7 +45,7 @@ numbers, not independent variables, into the next product -- is kept as
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,6 +62,7 @@ from .core import (
     first_encounter_relabel,
     is_equivalent,
     is_simple,
+    refine_colours,
 )
 from .descgraph import walk_powers
 
@@ -173,7 +180,9 @@ def _unequal_classes(rows: Callable, block: int, keys: np.ndarray, positions: np
             yield block_keys[1:][differs]
 
 
-def _evaluations(g: AnyGraph, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray | None]:
+def _evaluations(
+    g: AnyGraph, rng: np.random.Generator, symmetry: _Symmetry | None = None
+) -> tuple[np.ndarray, np.ndarray | None]:
     """The evaluations of one round of `g`'s process at random field points.
 
     Entry (u,v) of the symbolic square of a LabeledGraph is
@@ -184,11 +193,18 @@ def _evaluations(g: AnyGraph, rng: np.random.Generator) -> tuple[np.ndarray, np.
     A square is symmetric, so only its upper triangle is evaluated, over the
     returned mask (None for the ordered product): row-major, it meets every
     value where the full matrix does, so first-encounter ids agree.
+
+    Under automorphisms of `g` with a gather index (`_symmetry`), each point
+    gives the product of the rows of the orbits' least vertices only, and
+    the packed evaluations are read off it once: entry (u, v) equals entry
+    (t u, t v) for every automorphism t.  Its sums are the same integers,
+    exact in float64, so the values are those of the full product.
     """
     m = dense_labels(g.labels)
     n = g.n
     directed = isinstance(g, DirectedLabeledGraph)
     upper = None if directed else np.triu(np.ones((n, n), dtype=bool))
+    by_orbit = symmetry is not None and symmetry.gather is not None
     size = (1 + directed, int(m.max()) + 1)
     values = None
     for _ in range(EVALUATIONS):
@@ -197,9 +213,10 @@ def _evaluations(g: AnyGraph, rng: np.random.Generator) -> tuple[np.ndarray, np.
         left = x[0][m]
         # A symmetric `left` written as left @ left.T takes BLAS's faster
         # symmetric path.
-        product = left @ (x[1][m] if directed else left.T)
-        del left
-        entries = (product.ravel() if directed else product[upper]).astype(np.int64)
+        right = x[1][m] if directed else left.T
+        product = (left[symmetry.representatives] if by_orbit else left) @ right
+        del left, right
+        entries = (product.ravel() if directed or by_orbit else product[upper]).astype(np.int64)
         del product
         entries %= PRIME
         if values is None:
@@ -207,7 +224,7 @@ def _evaluations(g: AnyGraph, rng: np.random.Generator) -> tuple[np.ndarray, np.
         else:
             values *= PRIME
             values += entries
-    return values, upper
+    return (values[symmetry.gather] if by_orbit else values), upper
 
 
 def _mirrored(ids: np.ndarray, upper: np.ndarray) -> np.ndarray:
@@ -293,7 +310,7 @@ class StabilizationTrace:
     dims: list[int] = field(default_factory=list)
 
 
-def _evaluated_round(g: AnyGraph, rng: np.random.Generator) -> np.ndarray:
+def _evaluated_round(g: AnyGraph, rng: np.random.Generator, symmetry: _Symmetry | None = None) -> np.ndarray:
     """One round of `g`'s process evaluated at random field points (`_evaluations`).
 
     Entries are keyed by their evaluations, then their previous label (for
@@ -303,7 +320,7 @@ def _evaluated_round(g: AnyGraph, rng: np.random.Generator) -> np.ndarray:
     collision the evaluations alone decide the key, so the numbering costs
     one sort (`first_encounter_relabel`).
     """
-    values, upper = _evaluations(g, rng)
+    values, upper = _evaluations(g, rng, symmetry)
     if upper is None:
         return first_encounter_relabel(values, g.labels, values.reshape(g.n, -1).T).reshape(g.n, -1)
     return _mirrored(first_encounter_relabel(values, g.labels[upper]), upper)
@@ -319,34 +336,48 @@ def _unchecked(kind: type, labels: np.ndarray) -> AnyGraph:
     return g
 
 
-def _refinement_step(labels: np.ndarray, colours: np.ndarray, x: int, stride: int) -> np.ndarray:
-    """Individualize vertex `x` and split every colour class by its label from `x`.
-
-    Vertex v is ranked by (colours[v], v != x, labels[x, v]).  Ranks come
-    from these values alone, so the step commutes with every renumbering of
-    the vertices.  `stride` exceeds every label.
-    """
-    key = colours * 2 + (np.arange(colours.size) != x)
-    key *= stride
-    key += labels[x]
-    return np.unique(key, return_inverse=True)[1]
+def _equitable(labels: np.ndarray, colours: np.ndarray) -> np.ndarray:
+    """The coarsest equitable refinement of `colours`, ranks 0..k-1: rounds of
+    `refine_colours` until no colour splits."""
+    while True:
+        refined = refine_colours(labels, colours)
+        if refined.max() == colours.max():
+            return refined
+        colours = refined
 
 
-def _target_cell(colours: np.ndarray) -> np.ndarray | None:
-    """The vertices of the smallest colour with two or more, or None if none has."""
-    several = np.flatnonzero(np.bincount(colours) >= 2)
-    return np.flatnonzero(colours == several[0]) if several.size else None
+def _individualized(labels: np.ndarray, colours: np.ndarray, x: int) -> np.ndarray:
+    """Give vertex `x` a colour of its own, just below the rest of its cell,
+    and refine to the equitable colouring (`_equitable`)."""
+    c = colours[x]
+    split = colours + (colours > c) + (colours == c)
+    split[x] = c
+    return _equitable(labels, split)
 
 
-def _preserves_labels(labels: np.ndarray, pi: np.ndarray, rows: tuple[int, ...]) -> bool:
-    """True iff labels[pi[u], pi[v]] == labels[u, v] for all u, v.
+def _quotient(labels: np.ndarray, colours: np.ndarray, stride: int) -> np.ndarray:
+    """The invariant of an equitable colouring: its cell sizes, then each cell's
+    sorted (colour, label) codes toward every vertex, the same from any member."""
+    member = np.empty(int(colours.max()) + 1, dtype=np.intp)
+    member[colours] = np.arange(colours.size)
+    codes = np.sort(colours * stride + labels[member], axis=1)
+    return np.concatenate((np.bincount(colours), codes.ravel()))
 
-    The given rows are compared first, as a cheap rejection; then the whole
-    matrix, in blocks of about CHECK_BLOCK_BYTES.
-    """
-    for u in rows:
-        if not np.array_equal(labels[pi[u], pi], labels[u]):
-            return False
+
+def _mapped(base: np.ndarray, colours: np.ndarray) -> np.ndarray:
+    """A permutation taking each cell of `base` onto the cell of the same colour
+    in `colours`, whose cells have the same sizes.  It fixes every vertex that
+    has the same colour in both and maps the rest in increasing order within
+    each colour; between discrete colourings it is the only such permutation."""
+    pi = np.arange(base.size)
+    moved = np.flatnonzero(base != colours)
+    pi[moved[np.argsort(base[moved], kind="stable")]] = moved[np.argsort(colours[moved], kind="stable")]
+    return pi
+
+
+def _preserves_labels(labels: np.ndarray, pi: np.ndarray) -> bool:
+    """True iff labels[pi[u], pi[v]] == labels[u, v] for all u, v, compared in
+    blocks of rows of about CHECK_BLOCK_BYTES."""
     block = max(1, CHECK_BLOCK_BYTES // (labels.itemsize * labels.shape[0]))
     for lo in range(0, labels.shape[0], block):
         image = np.take(labels[pi[lo : lo + block]], pi, axis=1)
@@ -355,52 +386,73 @@ def _preserves_labels(labels: np.ndarray, pi: np.ndarray, rows: tuple[int, ...])
     return True
 
 
-def _automorphisms(g: AnyGraph) -> list[np.ndarray]:
-    """Label-preserving vertex permutations of `g`, found by individualization-refinement.
+def search_automorphisms(g: AnyGraph) -> list[np.ndarray]:
+    """Label-preserving vertex permutations of `g`, by individualization-refinement
+    (McKay & Piperno, "Practical graph isomorphism, II", 2014).
 
-    Colours start as the ranks of the diagonal labels.  A refinement step
-    individualizes a vertex of the smallest colour with several vertices
-    (`_refinement_step`).  The base leaf always takes the least such vertex
-    b_j, at levels j = 0, 1, ..., until every colour has one vertex.  From
-    the deepest level up, every other vertex y of b_j's cell that is not yet
-    in b_j's orbit under the permutations found so far (all of them fix
-    b_0 ... b_{j-1}) replaces b_j, and greedy steps lead to a new leaf.  The
-    permutation pi sends each vertex to the vertex of the same colour in the
-    new leaf; it is kept only if it preserves every label.
+    Every node of the search tree is an equitable colouring, ranked so that
+    it compares across nodes (`_equitable`): the root refines the ranks of
+    the diagonal labels, and a child individualizes one vertex of its
+    parent's first smallest cell with two or more vertices
+    (`_individualized`).  The base path always takes the least such vertex,
+    down to a discrete leaf.  From its deepest level up, every other vertex y
+    of the base node's cell is tried, one per orbit of the permutations found
+    so far, whether or not an earlier y gave one: all of them fix the base
+    path above, so y's orbit-mates share its answer.  The subtree under y is
+    searched depth first, the least vertex first, so its first leaf is
+    greedy.  A node whose invariant (`_quotient`) differs from the base
+    path's at its depth is pruned; any other yields the permutation that
+    maps the base path's node onto it (`_mapped`), which is kept, and ends
+    y's search, if it preserves every label (`_preserves_labels`).  Cells
+    keep their positions under refinement, so a kept permutation fixes the
+    base path above y and maps its vertex there to y; with the search
+    complete the permutations generate the group.
 
-    The search is best effort: it takes at most n refinement steps, the base
-    leaf included, which bounds the refinement by O(n^2 log n), and returns
-    what it has verified when they run out.  A new leaf is compared in full,
-    at O(n^2), only if the rows of b_j and y already match.
+    The search is best effort: it individualizes at most n**2 times and then
+    returns what it has verified.  Every returned permutation is verified.
     """
     n = g.n
-    labels = g.labels
+    labels = dense_labels(g.labels)
     stride = int(labels.max()) + 1
-    steps = n
+    steps = n * n
 
-    def leaf(colours: np.ndarray, x: int | None, levels: list | None = None) -> np.ndarray | None:
-        """Individualize `x`, then greedily the least vertex of each target
-        cell, until every colour has one vertex; None once the budget is spent."""
+    def target(colours: np.ndarray) -> int | None:
+        """The first smallest colour with two or more vertices, or None."""
+        sizes = np.bincount(colours)
+        return int(np.argmin(np.where(sizes >= 2, sizes, n + 1))) if sizes.max() >= 2 else None
+
+    path = [_equitable(labels, np.unique(labels.diagonal(), return_inverse=True)[1])]
+    cells: list[int] = []  # the colour individualized at each depth of the base path
+    while (c := target(path[-1])) is not None:  # at most n - 1 steps, within the budget
+        steps -= 1
+        cells.append(c)
+        path.append(_individualized(labels, path[-1], int(np.flatnonzero(path[-1] == c)[0])))
+    quotients: dict[int, np.ndarray] = {}
+
+    def below(depth: int, y: int) -> np.ndarray | None:
+        """A verified permutation in the subtree that individualizes y at
+        `depth`, or None if it has none or the budget runs out."""
         nonlocal steps
-        while x is not None:
-            if steps == 0:
-                return None
+        stack = [(depth, path[depth], [y])]
+        while stack and steps:
+            d, node, pending = stack[-1]
+            if not pending:
+                stack.pop()
+                continue
             steps -= 1
-            colours = _refinement_step(labels, colours, x, stride)
-            cell = _target_cell(colours)
-            x = None if cell is None else int(cell[0])
-            if levels is not None and x is not None:
-                levels.append((colours, cell))
-        return colours
+            child = _individualized(labels, node, pending.pop(0))
+            d += 1
+            if d not in quotients:
+                quotients[d] = _quotient(labels, path[d], stride)
+            if not np.array_equal(_quotient(labels, child, stride), quotients[d]):
+                continue
+            pi = _mapped(path[d], child)
+            if _preserves_labels(labels, pi):
+                return pi
+            if d < len(cells):
+                stack.append((d, child, np.flatnonzero(child == cells[d]).tolist()))
+        return None
 
-    colours = np.unique(labels.diagonal(), return_inverse=True)[1]
-    cell = _target_cell(colours)
-    if cell is None:
-        return []
-    levels = [(colours, cell)]
-    base = leaf(colours, int(cell[0]), levels)
-    if base is None:
-        return []
     generators: list[np.ndarray] = []
     orbit = list(range(n))  # union-find forest of the orbits of `generators`
 
@@ -410,25 +462,98 @@ def _automorphisms(g: AnyGraph) -> list[np.ndarray]:
             v = orbit[v]
         return v
 
-    for colours, cell in reversed(levels):
-        b = int(cell[0])
-        for y in cell[1:].tolist():
-            if root(y) == root(b):
+    for depth in reversed(range(len(cells))):
+        cell = np.flatnonzero(path[depth] == cells[depth]).tolist()
+        tried = [cell[0]]
+        for y in cell[1:]:
+            if root(y) in {root(t) for t in tried}:
                 continue
-            other = leaf(colours, y)
-            if other is None:
-                return generators
-            pi = np.empty(n, dtype=np.intp)
-            pi[other] = np.arange(n)
-            pi = pi[base]
-            if _preserves_labels(labels, pi, (b, y)):
+            tried.append(y)
+            pi = below(depth, y)
+            if pi is not None:
                 generators.append(pi)
                 for u in np.flatnonzero(pi != np.arange(n)).tolist():
                     orbit[root(u)] = root(int(pi[u]))
+            elif steps == 0:
+                return generators
     return generators
 
 
-def _exactly_stable(g: AnyGraph) -> bool:
+@dataclass(frozen=True)
+class _Symmetry:
+    """Verified automorphisms of a stabilization's seeded graph, with the
+    orbit data that its rounds and its fixpoint check read off them."""
+
+    generators: tuple[np.ndarray, ...]
+    #: The least vertex of every orbit, increasing.
+    representatives: np.ndarray
+    #: For every entry an evaluated round computes, its flat index in the
+    #: product of the representatives' rows; None where that product is not
+    #: used (`_symmetry`).
+    gather: np.ndarray | None
+
+
+def _symmetry(labels: np.ndarray, automorphisms, symmetric: bool) -> _Symmetry:
+    """Check that each of `automorphisms` is a vertex permutation preserving
+    every entry of `labels`, and build the orbit data of the group they
+    generate.
+
+    The orbits come from their least vertices, r(u) for vertex u.  Only if
+    there are fewer orbits than half the vertices is the gather index built:
+    a breadth-first search over the generators from the representatives
+    finds for every u a group element t_u with t_u(u) = r(u), and entry
+    (u, v) of a round's product reads row r(u), column t_u(v) of the
+    product of the representatives' rows.  For a `symmetric` graph only the
+    upper triangle is evaluated, so only its entries are indexed.
+    """
+    n = labels.shape[0]
+    generators = []
+    for k, pi in enumerate(automorphisms):
+        pi = np.asarray(pi)
+        if not (
+            pi.shape == (n,)
+            and np.issubdtype(pi.dtype, np.integer)
+            and np.array_equal(np.sort(pi), np.arange(n))
+            and _preserves_labels(labels, pi)
+        ):
+            raise GraphError(f"automorphism {k} is not a permutation of the {n} vertices that preserves every label")
+        generators.append(pi.astype(np.intp))
+    # least[u] is a vertex of u's orbit, at most u, until it is the least.
+    least = np.arange(n)
+    while True:
+        before = least.copy()
+        for pi in generators:
+            np.minimum(least, least[pi], out=least)
+            least[pi] = np.minimum(least[pi], least)
+        least = least[least]
+        if np.array_equal(least, before):
+            break
+    representatives = np.flatnonzero(least == np.arange(n))
+    if 2 * representatives.size >= n:
+        return _Symmetry(tuple(generators), representatives, None)
+    t = np.empty((n, n), dtype=np.int32)
+    t[representatives] = np.arange(n, dtype=np.int32)
+    reached = least == np.arange(n)
+    frontier = representatives
+    inverses = [np.argsort(pi) for pi in generators]
+    while frontier.size:
+        grown = []
+        for pi, inverse in zip(generators, inverses):
+            image = pi[frontier]
+            fresh = ~reached[image]
+            # t_w = t_u . pi^-1 takes w = pi(u) to r(u) = r(w).
+            t[image[fresh]] = t[frontier[fresh]][:, inverse]
+            reached[image[fresh]] = True
+            grown.append(image[fresh])
+        frontier = np.concatenate(grown)
+    row = np.empty(n, dtype=np.int32)
+    row[representatives] = np.arange(representatives.size, dtype=np.int32) * n
+    t += row[least][:, None]
+    gather = t[np.triu(np.ones((n, n), dtype=bool))] if symmetric else t.ravel()
+    return _Symmetry(tuple(generators), representatives, gather)
+
+
+def _exactly_stable(g: AnyGraph, symmetry: _Symmetry | None = None) -> bool:
     """True iff the exact round would split no label class of `g`.
 
     Labels are at most n*n, as every round numbers them.  Entries of one
@@ -436,29 +561,26 @@ def _exactly_stable(g: AnyGraph) -> bool:
     n diagonal entries go first, keyed by their labels: short of stable,
     some class of them nearly always splits.  Then every class is checked;
     for symmetric graphs the upper triangle suffices, since (u,v) and (v,u)
-    share a code.  For every automorphism pi of `g` that `_automorphisms`
-    returns, entry (pi u, pi v) has the label and, term by term, the pair
-    codes of (u,v); so every entry that some pi maps to a smaller position
-    (after a symmetric image is moved into the upper triangle) is dropped,
-    in one pass per pi.  The least entry of every orbit of the group they
-    generate stays, so every entry still meets a checked one of its class.
-    The search runs only where the checked entries of classes with two or
-    more of them fill more than one block.  Rows are compared as the exact
-    round compares them (`_unequal_classes`).
+    share a code.  Each automorphism pi of `symmetry` preserves the labels
+    of `g` (`_stabilize`), so entry (pi u, pi v) has the label and, term by
+    term, the pair codes of (u,v).  The least entry of every orbit of the
+    group lies in the row of an orbit's least vertex, so the check starts
+    from the entries of those rows and drops every entry that some pi maps
+    to a smaller position (after a symmetric image is moved into the upper
+    triangle), in one pass per pi.  The least entry of every orbit stays,
+    so every entry still meets a checked one of its class.  Rows are
+    compared as the exact round compares them (`_unequal_classes`).
     """
     n = g.n
     symmetric = isinstance(g, LabeledGraph)
     rows, block = _pair_code_builder(g)
     if next(_unequal_classes(rows, block, g.labels.diagonal(), np.arange(n) * (n + 1)), None) is not None:
         return False
-    counts = np.bincount(g.labels.ravel())
-    if symmetric:  # the upper triangle holds each off-diagonal entry once
-        counts += np.bincount(g.labels.diagonal(), minlength=counts.size)
-        counts //= 2
-    generators = _automorphisms(g) if counts[counts >= 2].sum() > block else []
-    del counts
-    positions = np.flatnonzero(np.triu(np.ones((n, n), dtype=bool))) if symmetric else np.arange(n * n)
-    for pi in generators:
+    checked = np.zeros((n, n), dtype=bool)
+    checked[np.arange(n) if symmetry is None else symmetry.representatives] = True
+    positions = np.flatnonzero(np.triu(checked) if symmetric else checked)
+    del checked
+    for pi in () if symmetry is None else symmetry.generators:
         u = pi[positions // n]
         v = pi[positions % n]
         if symmetric:  # in place, so that at most four position-sized arrays live
@@ -469,7 +591,7 @@ def _exactly_stable(g: AnyGraph) -> bool:
     return next(_unequal_classes(rows, block, g.labels.ravel()[positions], positions), None) is None
 
 
-def _stabilize(g: LabeledGraph, kind: type) -> StabilizationTrace:
+def _stabilize(g: LabeledGraph, kind: type, automorphisms) -> StabilizationTrace:
     """Seed `g`, then refine it as a `kind` graph until the dimension stops growing.
 
     Rounds are evaluated (`_evaluated_round`): they refine their input but
@@ -481,39 +603,52 @@ def _stabilize(g: LabeledGraph, kind: type) -> StabilizationTrace:
     A round that keeps the dimension of a graph short of stable met a
     collision, and the reference round (`sas_step` or `wl_step`) takes its
     place.  Every round numbers its labels 1..d; its dim is its largest.
+
+    Each of `automorphisms` is checked once to preserve the seeded graph
+    (`_symmetry`).  Every round is invariant and numbers its labels by its
+    keys alone, so an automorphism of the seeded graph preserves every
+    iterate; the evaluated rounds compute their products by orbit rows and
+    the check compares one entry per orbit.
     """
     _require_evaluable(g.n)
     rng = np.random.default_rng(EVALUATION_SEED)
     current = _unchecked(kind, seed_recognize_vertices(g).labels)
+    symmetry = _symmetry(current.labels, automorphisms, kind is LabeledGraph) if len(automorphisms) else None
     round_bound = g.n * (g.n + 1) // 2 + 1
     discrete = g.n * (g.n + 1) // 2 if kind is LabeledGraph else g.n * g.n
     dims = [dim(current)]
     for rounds in range(1, round_bound + 1):
-        refined = _unchecked(kind, _evaluated_round(current, rng))
+        refined = _unchecked(kind, _evaluated_round(current, rng, symmetry))
         dims.append(int(refined.labels.max()))
         if dims[-1] == dims[-2]:
             # Dimension fixpoint implies equivalence; assert it once.
             if not is_equivalent(current, refined):
                 raise AssertionError("dimension fixpoint without equivalence; refinement is broken")
-            if rounds == 1 and _exactly_stable(refined):  # later ones failed the check
+            if rounds == 1 and _exactly_stable(refined, symmetry):  # later ones failed the check
                 return StabilizationTrace(stable=refined, rounds=rounds, dims=dims)
             refined = (sas_step if kind is LabeledGraph else wl_step)(refined)
             dims[-1] = int(refined.labels.max())
-        if dims[-1] == discrete or _exactly_stable(refined):
+        if dims[-1] == discrete or _exactly_stable(refined, symmetry):
             dims.append(dims[-1])
             return StabilizationTrace(stable=refined, rounds=rounds + 1, dims=dims)
         current = refined
     raise AssertionError("refinement exceeded its theoretical round bound")
 
 
-def sas_stabilize(g: LabeledGraph) -> StabilizationTrace:
-    """Seed, then square-and-substitute until the dimension stops growing."""
-    return _stabilize(g, LabeledGraph)
+def sas_stabilize(g: LabeledGraph, automorphisms: Sequence[np.ndarray] = ()) -> StabilizationTrace:
+    """Seed, then square-and-substitute until the dimension stops growing.
+
+    `automorphisms` are label-preserving vertex permutations of `g`, such as
+    `search_automorphisms` finds; they change how the rounds are computed,
+    never their labels, and one that fails raises GraphError.
+    """
+    return _stabilize(g, LabeledGraph, automorphisms)
 
 
-def wl_stabilize(g: LabeledGraph) -> StabilizationTrace:
-    """Seed, then apply ordered-pair rounds until the dimension stops growing."""
-    return _stabilize(g, DirectedLabeledGraph)
+def wl_stabilize(g: LabeledGraph, automorphisms: Sequence[np.ndarray] = ()) -> StabilizationTrace:
+    """Seed, then apply ordered-pair rounds until the dimension stops growing;
+    `automorphisms` as for `sas_stabilize`."""
+    return _stabilize(g, DirectedLabeledGraph, automorphisms)
 
 
 def kpower_stabilize(g: LabeledGraph, k: int) -> StabilizationTrace:

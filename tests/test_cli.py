@@ -97,6 +97,20 @@ class TestBindingCommands:
         assert main(["derived", "--which", which, "--in", a, "--out", str(out)]) == 0
         assert read_graph(out, "matrix-json").n == 15
 
+    def test_derived_matches_the_plain_stabilization(self, tmp_path):
+        # `derived` stabilizes under the lifts of the input's automorphisms;
+        # the labels are those of the stabilization without them.
+        from graphbind.binding import binding_graph, build_psi
+        from graphbind.corpus import petersen_graph
+        from graphbind.refine import sas_stabilize
+
+        g, out = tmp_path / "petersen.json", tmp_path / "psi.json"
+        write_graph(petersen_graph(), g, "matrix-json")
+        assert main(["derived", "--which", "psi", "--in", str(g), "--out", str(out)]) == 0
+        b = binding_graph(petersen_graph())
+        plain = build_psi(b, sas_stabilize(b.graph).stable)
+        assert np.array_equal(read_graph(out, "matrix-json").labels, plain.labels)
+
 
 class TestOracleCommand:
     def test_orbits(self, files, capsys):
@@ -161,6 +175,44 @@ class TestGiCommand:
         write_graph(path_graph(64), b, "matrix-json")
         assert main(["gi", "--a", str(a), "--b", str(b), "--max-binding-order", "100000"]) == 2
         assert "8385" in capsys.readouterr().err
+
+    def test_over_budget_header_exits_two_before_a_full_read(self, tmp_path, capsys, monkeypatch):
+        # Read in full, the 5-byte edgelist `8000` would allocate an 8000 x
+        # 8000 matrix; its header alone is over the binding-order budget.
+        import graphbind.cli as cli
+
+        big = tmp_path / "big.txt"
+        big.write_text("8000\n")
+        assert big.stat().st_size == 5
+        g6 = tmp_path / "big.g6"
+        g6.write_text("~@|?" + "?" * 10 + "\n")  # the size header of order 8000, then a short body
+
+        def unread(path, fmt):
+            raise AssertionError(f"{path} was read in full")
+
+        monkeypatch.setattr(cli, "read_graph", unread)
+        for a, b in ((big, big), (big, g6), (g6, g6)):
+            assert main(["gi", "--a", str(a), "--b", str(b)]) == 2
+            assert capsys.readouterr().err == "error: binding graph order 128024001 exceeds the budget 5000\n"
+
+    def test_header_orders_that_differ_exit_two_before_a_full_read(self, tmp_path, capsys, monkeypatch):
+        import graphbind.cli as cli
+
+        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+        a.write_text("\n  7000\n1 2\n")
+        b.write_text("8000\n")
+        monkeypatch.setattr(cli, "read_graph", None)
+        assert main(["gi", "--a", str(a), "--b", str(b)]) == 2
+        assert capsys.readouterr().err == "error: orders differ: 7000 != 8000\n"
+
+    def test_matrix_json_is_read_before_the_budget_check(self, files, tmp_path, capsys):
+        # matrix-json states no order ahead of its matrix; it is read first,
+        # then the other file's header is checked against its order.
+        _, a, _ = files
+        big = tmp_path / "big.txt"
+        big.write_text("8000\n")
+        assert main(["gi", "--a", a, "--b", str(big)]) == 2
+        assert capsys.readouterr().err == "error: orders differ: 5 != 8000\n"
 
     def test_wl_process_flag(self, files):
         _, a, b = files

@@ -12,6 +12,7 @@ from graphbind.graphio import (
     dumps_graph,
     loads_graph,
     read_graph,
+    read_order,
     write_graph,
 )
 
@@ -186,3 +187,36 @@ class TestMatrixJson:
         write_graph(g, path, "matrix-json")
         assert path.read_text() == '{"n": 3, "labels": [[1, 5, 2], [6, 1, 2], [3, 3, 1]]}\n'
         assert np.array_equal(read_directed_graph(path).labels, g.labels)
+
+
+class TestReadOrder:
+    """The order from a file's header alone, or None where the full read decides."""
+
+    def test_orders_of_written_files_agree_with_the_full_read(self, tmp_path):
+        for n in (1, 5, 63, 64, 300):
+            g = random_graph(n, 0.3, seed=n)
+            for fmt, name in (("graph6", "g.g6"), ("edgelist", "g.txt")):
+                path = tmp_path / name
+                write_graph(g, path, fmt)
+                assert read_order(path, fmt) == read_graph(path, fmt).n == n
+
+    @pytest.mark.parametrize(
+        "text, fmt, order",
+        [
+            ("\n  \n  8000  \n1 2\n", "edgelist", 8000),
+            (">>graph6<<~@|?", "graph6", 8000),
+            ("\n\nDqK\n", "graph6", 5),
+            ("8193\n", "edgelist", None),  # above the largest order
+            ("0\n", "edgelist", None),
+            ("eight\n", "edgelist", None),
+            ("1" * 70 + "\n", "edgelist", None),  # longer than the header read
+            ("\u00e9\n", "edgelist", None),
+            ("", "edgelist", None),
+            ("~", "graph6", None),
+            ('{"n": 2, "labels": [[0, 1], [1, 0]]}', "matrix-json", None),
+        ],
+    )
+    def test_headers(self, tmp_path, text, fmt, order):
+        path = tmp_path / "g"
+        path.write_bytes(text.encode("utf-8"))
+        assert read_order(path, fmt) == order

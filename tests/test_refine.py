@@ -23,6 +23,8 @@ from graphbind.core import (
     permuted,
 )
 from graphbind.corpus import (
+    all_graphs,
+    cfi_graph,
     complete_graph,
     cycle_graph,
     from_edges,
@@ -40,13 +42,16 @@ from graphbind.partition import vertex_partition
 from graphbind.refine import (
     PRIME,
     VertexRecognitionError,
-    _automorphisms,
+    _evaluations,
     _exactly_stable,
+    _preserves_labels,
+    _symmetry,
     kpower_step,
     numeric_ff_stabilize,
     recognizes_vertices,
     sas_stabilize,
     sas_step,
+    search_automorphisms,
     seed_recognize_vertices,
     wl_stabilize,
     wl_step,
@@ -162,17 +167,68 @@ def asymmetric_pair_binding_graph() -> LabeledGraph:
     return binding_graph(wing_graph(a, permuted(a, random_permutation(6, seed=1)))).graph
 
 
-def symmetric_pair_binding_graphs() -> list[LabeledGraph]:
-    """Binding graphs of two regular pairs with large stable cells.
-
-    K3,3 against the prism is a NO pair of order 91; the Petersen graph
-    against a relabeled copy is a YES pair of order 231.
-    """
+def symmetric_pairs() -> list[tuple[LabeledGraph, LabeledGraph]]:
+    """Two regular pairs with large stable cells: K3,3 against the prism, a
+    NO pair, and the Petersen graph against a relabeled copy, a YES pair."""
     k33 = from_edges(6, [(i, j) for i in range(3) for j in range(3, 6)])
     prism = from_edges(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3), (1, 4), (2, 5)])
     petersen = petersen_graph()
-    relabeled = permuted(petersen, random_permutation(10, seed=3))
-    return [binding_graph(wing_graph(a, b)).graph for a, b in ((k33, prism), (petersen, relabeled))]
+    return [(k33, prism), (petersen, permuted(petersen, random_permutation(10, seed=3)))]
+
+
+def symmetric_pair_binding_graphs() -> list[LabeledGraph]:
+    """The binding graphs of `symmetric_pairs`, of orders 91 and 231."""
+    return [binding_graph(wing_graph(a, b)).graph for a, b in symmetric_pairs()]
+
+
+def wing_lifts(a: LabeledGraph, b: LabeledGraph) -> tuple[LabeledGraph, list[np.ndarray]]:
+    """The binding graph of the wing graph of a and b, and the lifts of the
+    permutations that the search finds on the wing graph."""
+    wing = wing_graph(a, b)
+    bound = binding_graph(wing)
+    return bound.graph, [bound.lift(pi) for pi in search_automorphisms(wing)]
+
+
+def quick_corpus_pairs() -> list[tuple[LabeledGraph, LabeledGraph]]:
+    """The pairs of the quick audit: the binding completeness pairs of order
+    4, and the decision check's pairs of a graph with its relabeled copy and
+    with another graph."""
+    from graphbind.validate import CorpusSpec, _gi_triples, _representative_pairs, build_corpus
+
+    spec = CorpusSpec(quick=True)
+    corpus = build_corpus(spec)
+    pairs = [(a, b) for _, a, b in _representative_pairs(corpus, spec)]
+    return pairs + [(a, other) for _, a, relabeled, b in _gi_triples(corpus, spec) for other in (relabeled, b)]
+
+
+def graphs_up_to_isomorphism(n: int) -> list[LabeledGraph]:
+    """One graph of every isomorphism class of order n: the least edge mask
+    of each class over all relabelings."""
+    from itertools import combinations, permutations
+
+    pairs = list(combinations(range(n), 2))
+    index = {pair: k for k, pair in enumerate(pairs)}
+    masks = np.arange(1 << len(pairs))
+    bits = (masks[:, None] >> np.arange(len(pairs))) & 1
+    least = masks
+    for sigma in permutations(range(n)):
+        image = [index[tuple(sorted((sigma[u], sigma[v])))] for u, v in pairs]
+        least = np.minimum(least, bits @ (1 << np.array(image)))
+    return [from_edges(n, [pairs[k] for k in range(len(pairs)) if mask >> k & 1]) for mask in np.unique(least).tolist()]
+
+
+def srg_and_cfi_pairs() -> list[tuple[LabeledGraph, LabeledGraph]]:
+    """Shrikhande against the rook graph and the CFI(K4) pair, NO pairs, and
+    each graph against a relabeled copy: binding graphs of order 561."""
+    k4 = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+    s, r = shrikhande_graph(), rook_graph_4x4()
+    untwisted, twisted = cfi_graph(k4, False), cfi_graph(k4, True)
+    return [
+        (s, r),
+        (untwisted, twisted),
+        (s, permuted(s, random_permutation(16, seed=4))),
+        (twisted, permuted(twisted, random_permutation(16, seed=5))),
+    ]
 
 
 def asymmetric_no_pair_binding_graph() -> LabeledGraph:
@@ -584,20 +640,22 @@ class TestEvaluatedRounds:
             assert not _exactly_stable(g)
 
     def test_one_search_and_no_confirming_round_on_the_srg_binding_graph(self, monkeypatch):
-        # Shrikhande against the rook graph (N = 561): the diagonal pass turns
-        # away every iterate short of stable, so the automorphism search runs
-        # at most once, and no round is spent confirming the stable graph.
+        # Shrikhande against the rook graph (N = 561): one automorphism search
+        # per decision, on the wing graph, and none in the fixpoint check; the
+        # diagonal pass turns away every iterate short of stable, and no round
+        # is spent confirming the stable graph.
+        import graphbind.decide as decide
         import graphbind.refine as refine
 
-        bound = binding_graph(wing_graph(shrikhande_graph(), rook_graph_4x4())).graph
         evaluated = recorded_outputs(monkeypatch, refine, "_evaluated_round")
-        searches = recorded_outputs(monkeypatch, refine, "_automorphisms")
-        for stabilize in (sas_stabilize, wl_stabilize):
+        searches = recorded_outputs(monkeypatch, decide, "search_automorphisms")
+        monkeypatch.setattr(refine, "search_automorphisms", None)
+        for process in ("sas", "wl"):
             evaluated.clear()
             searches.clear()
-            trace = stabilize(bound)
-            assert len(searches) <= 1
-            assert len(evaluated) == trace.rounds - 1
+            result = decide.gi_decide(shrikhande_graph(), rook_graph_4x4(), process=process)
+            assert len(searches) == 1
+            assert len(evaluated) == result.rounds - 1
 
     def test_every_round_numbers_its_labels_one_to_dim(self, monkeypatch):
         import graphbind.refine as refine
@@ -654,8 +712,8 @@ class TestEvaluatedRounds:
         if block_bytes is not None:
             # One row per block: every comparison crosses a block boundary.
             monkeypatch.setattr(refine, "CHECK_BLOCK_BYTES", block_bytes)
-        # On the binding graphs the check compares one entry per orbit of the
-        # automorphisms it finds (see TestAutomorphismSearch).
+        # Given no automorphisms, the check compares every entry; one entry
+        # per orbit is checked in TestAutomorphismSearch.
         for g in (
             as_graph(reference["g21"]),
             asymmetric_pair_binding_graph(),
@@ -733,49 +791,65 @@ def orbit_partition(n: int, generators: list[np.ndarray]) -> Partition:
 
 
 class TestAutomorphismSearch:
-    """`_automorphisms` finds label-preserving permutations by
-    individualization-refinement, and the fixpoint check skips the entries
-    they map to smaller positions."""
+    """`search_automorphisms` finds label-preserving permutations by
+    individualization-refinement, once per decision on the wing graph; the
+    stabilizations take their lifts to the binding graph, compute each
+    product by orbit rows and check one entry per orbit."""
 
     @staticmethod
-    def stable_graphs(g: LabeledGraph) -> list:
-        return [sas_stabilize(g).stable, wl_stabilize(g).stable]
+    def stable_graphs(g: LabeledGraph, lifts: list) -> list:
+        return [sas_stabilize(g, lifts).stable, wl_stabilize(g, lifts).stable]
 
     def test_every_permutation_preserves_every_label(self):
-        shrikhande_rook = binding_graph(wing_graph(shrikhande_graph(), rook_graph_4x4())).graph
-        for bound in [*symmetric_pair_binding_graphs(), shrikhande_rook]:
-            for stable in self.stable_graphs(bound):
-                generators = _automorphisms(stable)
-                assert generators
-                for pi in generators:
+        for a, b in [*symmetric_pairs(), (shrikhande_graph(), rook_graph_4x4())]:
+            wing = wing_graph(a, b)
+            generators = search_automorphisms(wing)
+            assert generators
+            for pi in generators:
+                assert sorted(pi.tolist()) == list(range(wing.n))
+                assert np.array_equal(wing.labels[np.ix_(pi, pi)], wing.labels)
+            bound, lifts = wing_lifts(a, b)
+            for stable in [bound, *self.stable_graphs(bound, lifts)]:
+                for pi in lifts:
                     assert sorted(pi.tolist()) == list(range(stable.n))
                     assert np.array_equal(stable.labels[np.ix_(pi, pi)], stable.labels)
 
     def test_orbits_are_the_stable_cells_on_k33_against_prism(self):
-        # The search is best effort; on this NO pair it finds the whole
-        # automorphism partition of each stable iterate.
-        bound = symmetric_pair_binding_graphs()[0]
-        for stable in self.stable_graphs(bound):
-            assert orbit_partition(stable.n, _automorphisms(stable)) == vertex_partition(stable)
+        # On this NO pair the orbits of the lifted group are the stable cells.
+        bound, lifts = wing_lifts(*symmetric_pairs()[0])
+        for stable in self.stable_graphs(bound, lifts):
+            assert orbit_partition(stable.n, lifts) == vertex_partition(stable)
 
     def test_broken_cell_swap_gets_no_generator_and_is_rejected(self, monkeypatch):
-        # Vertices 1 and 2 form a two-vertex cell, but vertex 0 meets them by
+        # Vertices 1 and 2 share a diagonal label, but vertex 0 meets them by
         # different labels: the swap is no automorphism.  The check's
-        # diagonal pass finds that (1,1) and (2,2) have different pair codes.
+        # diagonal pass finds that (1,1) and (2,2) have different pair codes,
+        # and the stabilizers refuse the swap.
         import graphbind.refine as refine
 
         m = np.array([[3, 1, 2], [1, 4, 0], [2, 0, 4]])
+        swap = np.array([0, 2, 1])
         for block_bytes in (refine.CHECK_BLOCK_BYTES, 1):
             monkeypatch.setattr(refine, "CHECK_BLOCK_BYTES", block_bytes)
             for graph in (LabeledGraph(m), DirectedLabeledGraph(m)):
-                assert _automorphisms(graph) == []
+                assert search_automorphisms(graph) == []
                 assert not _exactly_stable(graph)
+            for stabilize in (sas_stabilize, wl_stabilize):
+                with pytest.raises(GraphError, match="automorphism 1 is not"):
+                    stabilize(LabeledGraph(m), [np.arange(3), swap])
 
-    def test_leaf_is_verified_beyond_the_individualized_rows(self):
-        # Individualizing 0 or 1 makes every colour a singleton, and the two
-        # leaves pair up as pi = (0 1)(2 3), which maps rows 0 and 1 onto
-        # each other label by label.  But pi sends (2,4) to (3,4), labels 6
-        # and 7: the graph has no automorphism besides the identity.
+    def test_stabilizers_refuse_what_is_not_a_vertex_permutation(self):
+        g = cycle_graph(4)
+        for bad in ([0, 1, 2], [0, 1, 2, 2], [0, 1, 2, 4], np.array([0.0, 1.0, 2.0, 3.0])):
+            with pytest.raises(GraphError, match="automorphism 1 is not"):
+                sas_stabilize(g, [np.array([1, 2, 3, 0]), np.asarray(bad)])
+
+    def test_leaf_is_verified_beyond_the_individualized_rows(self, monkeypatch):
+        # pi = (0 1)(2 3) maps rows 0 and 1 onto each other label by label,
+        # but sends (2,4) to (3,4), labels 6 and 7: the graph has no
+        # automorphism besides the identity, and the verifier says so.
+        import graphbind.refine as refine
+
         m = np.array(
             [
                 [10, 1, 2, 3, 4],
@@ -789,32 +863,40 @@ class TestAutomorphismSearch:
         for u in (0, 1):
             assert np.array_equal(m[pi[u], pi], m[u])
         assert not np.array_equal(m[np.ix_(pi, pi)], m)
-        assert _automorphisms(LabeledGraph(m)) == []
+        assert not _preserves_labels(m, pi)
+        assert search_automorphisms(LabeledGraph(m)) == []
+        # Every permutation the search returns passed the whole-matrix
+        # verifier, and on the SRG wing graph it turns candidates away.
+        verdicts = []
+
+        def recorded(labels, candidate):
+            verdicts.append((candidate.copy(), _preserves_labels(labels, candidate)))
+            return verdicts[-1][1]
+
+        monkeypatch.setattr(refine, "_preserves_labels", recorded)
+        wing = wing_graph(shrikhande_graph(), rook_graph_4x4())
+        generators = search_automorphisms(wing)
+        accepted = [candidate for candidate, ok in verdicts if ok]
+        assert len(accepted) == len(generators) < len(verdicts)
+        assert all(np.array_equal(a, g) for a, g in zip(accepted, generators))
 
     def test_search_budget_on_a_complete_graph(self, monkeypatch):
-        # The base leaf of K200 alone takes 199 steps; without the budget
-        # the search would take about 20,000.
+        # The base leaf of K200 alone takes 199 individualizations; the search
+        # individualizes at most n**2 times and finds the whole group.
         import graphbind.refine as refine
 
         g = seed_recognize_vertices(complete_graph(200))
-        individualized = []
-        step = refine._refinement_step
-
-        def counted(labels, colours, x, stride):
-            individualized.append(x)
-            return step(labels, colours, x, stride)
-
-        monkeypatch.setattr(refine, "_refinement_step", counted)
-        for pi in _automorphisms(g):
+        individualized = recorded_outputs(monkeypatch, refine, "_individualized")
+        generators = search_automorphisms(g)
+        for pi in generators:
             assert np.array_equal(g.labels[np.ix_(pi, pi)], g.labels)
-        assert 0 < len(individualized) <= g.n
+        assert g.n <= len(individualized) <= g.n**2
+        assert orbit_partition(g.n, generators) == Partition((tuple(range(g.n)),))
         assert _exactly_stable(g)
-        monkeypatch.setattr(refine, "_automorphisms", lambda graph: [])
-        assert _exactly_stable(g)
+        assert _exactly_stable(g, _symmetry(g.labels, generators, True))
 
     def test_decisions_identical_without_the_search(self, monkeypatch):
-        import graphbind.refine as refine
-        from graphbind.decide import gi_decide
+        import graphbind.decide as decide
 
         s, r = shrikhande_graph(), rook_graph_4x4()
         pairs = [
@@ -826,10 +908,87 @@ class TestAutomorphismSearch:
         def evidence(result):
             return result.verdict, result.partition, result.rounds, result.dims
 
-        with_search = [evidence(gi_decide(a, b)) for a, b in pairs]
-        monkeypatch.setattr(refine, "_automorphisms", lambda graph: [])
-        assert [evidence(gi_decide(a, b)) for a, b in pairs] == with_search
+        with_search = [evidence(decide.gi_decide(a, b)) for a, b in pairs]
+        monkeypatch.setattr(decide, "search_automorphisms", lambda graph: [])
+        assert [evidence(decide.gi_decide(a, b)) for a, b in pairs] == with_search
         assert [verdict for verdict, *_ in with_search] == [False, True, True]
+
+    def test_orbits_are_the_oracle_orbits_on_every_small_graph(self):
+        # Every graph of order <= 5, and every isomorphism class of order 6
+        # under eight labelings: the search is complete at these orders.
+        graphs = [g for n in range(1, 6) for g in all_graphs(n)]
+        for k, g in enumerate(graphs_up_to_isomorphism(6)):
+            graphs += [permuted(g, random_permutation(6, seed=8 * k + i)) for i in range(8)]
+        assert len(graphs) == 1099 + 8 * 156
+        for g in graphs:
+            assert orbit_partition(g.n, search_automorphisms(g)) == automorphism_orbits(g)
+
+    def test_orbits_are_the_oracle_orbits_on_quick_corpus_wing_graphs(self):
+        wings = [wing_graph(a, b) for a, b in quick_corpus_pairs() if 2 * a.n + 1 <= 13]
+        assert len(wings) >= 40
+        for wing in wings:
+            generators = search_automorphisms(wing)
+            assert orbit_partition(wing.n, generators) == automorphism_orbits(wing, max_n=13)
+
+    def test_lifts_preserve_the_binding_graph(self):
+        lifted = 0
+        for a, b in [*quick_corpus_pairs(), *symmetric_pairs()]:
+            wing = wing_graph(a, b)
+            bound = binding_graph(wing)
+            for pi in search_automorphisms(wing):
+                lift = bound.lift(pi)
+                assert np.array_equal(lift[: wing.n], pi)
+                assert _preserves_labels(bound.graph.labels, lift)
+                lifted += 1
+            # A permutation that breaks the wing graph breaks its lift.
+            broken = np.arange(wing.n)
+            broken[[0, wing.n - 1]] = [wing.n - 1, 0]
+            assert not _preserves_labels(bound.graph.labels, bound.lift(broken))
+        assert lifted > 0
+
+    @pytest.mark.parametrize("prime", [PRIME, 3])
+    def test_orbit_rows_evaluate_as_the_full_product(self, monkeypatch, prime):
+        # The evaluated rounds of both processes from the seeded graph up to
+        # the first that keeps the dimension, each by orbit rows and by the
+        # full product from the same generator state: the same values, and
+        # the generator left in the same state.
+        import graphbind.refine as refine
+
+        monkeypatch.setattr(refine, "PRIME", prime)
+        rounds = 0
+        for a, b in srg_and_cfi_pairs():
+            bound, lifts = wing_lifts(a, b)
+            for start, _ in seeded_processes(bound):
+                symmetry = _symmetry(start.labels, lifts, isinstance(start, LabeledGraph))
+                assert symmetry.gather is not None
+                rng = np.random.default_rng(refine.EVALUATION_SEED)
+                current, grew = start, True
+                while grew:
+                    state = rng.bit_generator.state
+                    values, upper = _evaluations(current, rng, symmetry)
+                    full_rng = np.random.default_rng()
+                    full_rng.bit_generator.state = state
+                    full, full_upper = _evaluations(current, full_rng)
+                    assert np.array_equal(values, full)
+                    assert (upper is None) == (full_upper is None)
+                    assert full_rng.bit_generator.state == rng.bit_generator.state
+                    rounds += 1
+                    rng.bit_generator.state = state
+                    refined = refine._unchecked(type(start), refine._evaluated_round(current, rng, symmetry))
+                    current, grew = refined, dim(refined) > dim(current)
+        assert rounds >= 32
+
+    def test_check_by_orbits_agrees_with_the_round(self):
+        # The check started from the orbits' least rows and filtered by the
+        # lifted generators answers as the exact round does, on every
+        # iterate of the symmetric pairs.
+        for a, b in symmetric_pairs():
+            bound, lifts = wing_lifts(a, b)
+            for start, step in seeded_processes(bound):
+                symmetry = _symmetry(start.labels, lifts, isinstance(start, LabeledGraph))
+                iterates = stable_iterates(start, step)
+                for current, refined in zip(iterates, iterates[1:]):
+                    assert _exactly_stable(current, symmetry) == (dim(refined) == dim(current))
 
 
 class TestDeterminism:

@@ -60,6 +60,14 @@ Two more lines digest the quick and the full `validate_suite` report: the
 number of violations and the first 16 hex digits of a sha256 over every
 check's entry without its `seconds`, the same entries the benchmark's
 `audit` fingerprint compares.
+
+The last line, `symmetries`, digests, for the wing graph of every pair of the
+quick audit (`validate._representative_pairs` and `validate._gi_triples`)
+and of every `decide-random` and `decide-srg` input above, the orbit
+partition of the group that `refine.search_automorphisms` finds and the
+number of orbits of its lifts on the binding graph, which is the number of
+rows an evaluated round computes when it computes by orbit rows.  It does
+not digest the generators, which depend on the order of the search.
 """
 
 from __future__ import annotations
@@ -220,6 +228,41 @@ def descgraph_results() -> list:
     return results
 
 
+def symmetry_results(workloads) -> list:
+    """The orbits and orbit-row counts the `symmetries` line digests, in order."""
+    from graphbind.binding import binding_graph, wing_graph
+    from graphbind.refine import _symmetry, search_automorphisms, seed_recognize_vertices
+    from graphbind.validate import CorpusSpec, _gi_triples, _representative_pairs, build_corpus
+
+    spec = CorpusSpec(quick=True)
+    corpus = build_corpus(spec)
+    pairs = [(a, b) for _, a, b in _representative_pairs(corpus, spec)]
+    pairs += [(a, other) for _, a, relabeled, b in _gi_triples(corpus, spec) for other in (relabeled, b)]
+    for name, ops in (("decide-random", (1, 2)), ("decide-srg", (1,))):
+        for seed in (7, 8):
+            workload = workloads.WORKLOADS[name](seed)
+            pairs += [pair for op in ops for pair in workload.inputs(op).values()]
+    results: list = []
+    for a, b in pairs:
+        wing = wing_graph(a, b)
+        generators = search_automorphisms(wing)
+        orbit = list(range(wing.n))  # each vertex's least known orbit-mate, until it is the least
+        changed = True
+        while changed:
+            changed = False
+            for pi in generators:
+                for u, v in enumerate(pi.tolist()):
+                    least = min(orbit[u], orbit[v])
+                    if orbit[u] != least or orbit[v] != least:
+                        orbit[u] = orbit[v] = least
+                        changed = True
+        bound = binding_graph(wing)
+        seeded = seed_recognize_vertices(bound.graph).labels
+        rows = _symmetry(seeded, [bound.lift(pi) for pi in generators], True).representatives.size
+        results.append([orbit, rows])
+    return results
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("src", type=Path, help="src/ directory holding graphbind")
@@ -317,6 +360,10 @@ def main(argv: list[str] | None = None) -> int:
         report = validate_suite(CorpusSpec(quick=mode == "quick"))
         line = f"{mode + ' report':28s} violations={report['violation_total']:<5d}"
         print(f"{line} sha256={report_digest(report)}", flush=True)
+    results = symmetry_results(workloads)
+    digest = hashlib.sha256(json.dumps(results).encode()).hexdigest()
+    rows = sum(result[1] for result in results)
+    print(f"{'symmetries':28s} calls={len(results):<5d} sha256={digest} rows={rows}", flush=True)
     return 0
 
 
