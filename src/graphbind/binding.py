@@ -29,33 +29,31 @@ from .core import (
 
 @dataclass(frozen=True)
 class BindingGraph:
-    """A binding graph together with its pair-to-binder index table.
+    """A binding graph over `basic_n` basic vertices.
 
-    Vertices [0..basic_n) are basic; the rest are binding vertices, one per
-    unordered basic pair, numbered by the lexicographic rank of the pair.
+    Vertices [0..basic_n) are basic; binding vertex basic_n + k binds the
+    k-th unordered basic pair in lexicographic order, k = `pair_rank` of the
+    pair, and nothing else.
     """
 
     graph: LabeledGraph
     basic_n: int
-    binder: dict[tuple[int, int], int]
 
     def __post_init__(self) -> None:
         n = self.basic_n
         n1 = n * (n + 1) // 2
-        if self.graph.n != n1:
+        if n < 1 or self.graph.n != n1:
             raise GraphError(f"binding graph of {n} basic vertices has order {n1}")
-        if len(self.binder) != n * (n - 1) // 2:
-            raise GraphError("binder must map every unordered basic pair")
-        u, v, p = np.array([(*pair, p) for pair, p in self.binder.items()], dtype=np.int64).reshape(-1, 3).T
-        in_range = (0 <= u) & (u < v) & (v < n) & (n <= p) & (p < n1)
-        at_p, at_u, at_v = np.where(in_range, (p, u, v), 0)  # in bounds, to be read
-        edges = self.graph.labels != BLANK
-        bound = in_range & edges[at_p, at_u] & edges[at_p, at_v] & (np.count_nonzero(edges, axis=1)[at_p] == 2)
+        # Row k of `edges` is binding vertex n + k; its pair is (u[k], v[k]).
+        edges = self.graph.labels[n:] != BLANK
+        u, v = np.triu_indices(n, 1)
+        k = np.arange(n1 - n)
+        bound = edges[k, u] & edges[k, v]
+        edges[k, u] = edges[k, v] = False
+        bound &= ~edges.any(axis=1)
         if not bound.all():
-            i = int(np.argmin(bound))  # the first failing binder, in the dict's order
-            if not in_range[i]:
-                raise GraphError("binder indices out of range")
-            raise GraphError(f"binding vertex {p[i]} must be adjacent to exactly {{{u[i]},{v[i]}}}")
+            i = int(np.argmin(bound))  # the first failing binding vertex
+            raise GraphError(f"binding vertex {n + i} must be adjacent to exactly {{{u[i]},{v[i]}}}")
 
     @property
     def n1(self) -> int:
@@ -64,7 +62,7 @@ class BindingGraph:
     def binding_vertex(self, u: int, v: int) -> int:
         if u == v:
             raise GraphError("a pair consists of two distinct basic vertices")
-        return self.binder[(min(u, v), max(u, v))]
+        return self.basic_n + pair_rank(min(u, v), max(u, v), self.basic_n)
 
     def lift(self, pi: np.ndarray) -> np.ndarray:
         """The vertex permutation of the binding graph that a permutation `pi`
@@ -106,8 +104,7 @@ def _bind(basic: np.ndarray) -> BindingGraph:
     u, v = np.triu_indices(n, 1)  # row-major, the lexicographic order of `pair_rank`
     p = np.arange(n, n1)
     out[u, p] = out[p, u] = out[v, p] = out[p, v] = 1
-    binder = dict(zip(zip(u.tolist(), v.tolist()), p.tolist()))
-    return BindingGraph(graph=LabeledGraph(out), basic_n=n, binder=binder)
+    return BindingGraph(graph=LabeledGraph(out), basic_n=n)
 
 
 def binding_graph(a: LabeledGraph) -> BindingGraph:

@@ -246,6 +246,18 @@ def refine_colours(labels: np.ndarray, colours: np.ndarray) -> np.ndarray:
     return ranks
 
 
+def equitable_colours(labels: np.ndarray, colours: np.ndarray) -> np.ndarray:
+    """The coarsest equitable refinement of the ranks `colours`, as ranks, by
+    rounds of `refine_colours` (the stable colour refinement when `colours`
+    are the diagonal's ranks).  Ranks only split classes, so a round that
+    keeps the number of classes split none."""
+    while True:
+        refined = refine_colours(labels, colours)
+        if refined.max() == colours.max():
+            return refined
+        colours = refined
+
+
 def equivalent_variable_substitution(codes: Sequence[Sequence[Code]] | np.ndarray) -> LabeledGraph:
     """Relabel a symmetric matrix of opaque codes into a LabeledGraph.
 

@@ -136,7 +136,6 @@ class SpectralDecomposition:
 
     eigenvalues: tuple[float, ...]
     projectors: tuple[np.ndarray, ...]
-    tol: float
     ill_conditioned: bool
 
 
@@ -175,7 +174,6 @@ def spectral_decomposition(a: LabeledGraph, tol: float = 1e-9) -> SpectralDecomp
     return SpectralDecomposition(
         eigenvalues=tuple(eigenvalues),
         projectors=tuple(projectors),
-        tol=tol,
         # The cluster means ascend with the clusters.
         ill_conditioned=bool((np.diff(eigenvalues) < 10 * tol).any()),
     )

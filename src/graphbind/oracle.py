@@ -2,17 +2,18 @@
 
 These oracles audit the refinement machinery, so they import only `core`.
 The search takes its candidate images from the stable colour refinement
-(rounds of `core.refine_colours`), the classical invariant partition used
-to prune isomorphism search (McKay & Piperno, "Practical graph isomorphism,
-II", 2014).  Every isomorphism maps a vertex to one of the same colour, so
-restricting the candidates to equal colours never drops a witness.
+(`core.equitable_colours` from the ranks of the diagonal labels), the
+classical invariant partition used to prune isomorphism search (McKay &
+Piperno, "Practical graph isomorphism, II", 2014).  Every isomorphism maps
+a vertex to one of the same colour, so restricting the candidates to equal
+colours never drops a witness.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import GraphError, LabeledGraph, Partition, distinct_values, refine_colours
+from .core import GraphError, LabeledGraph, Partition, distinct_values, equitable_colours
 
 SEARCH_BOUND = 16
 
@@ -28,14 +29,9 @@ def _check_bound(n: int, max_n: int | None) -> None:
 
 
 def _colours(labels: np.ndarray) -> list[int]:
-    """Stable colour refinement by `refine_colours`, from the ranks of the diagonal labels."""
+    """Stable colour refinement (`equitable_colours`) from the ranks of the diagonal labels."""
     diagonal = labels.diagonal()
-    refined = np.searchsorted(distinct_values(diagonal), diagonal)
-    while True:
-        colours, refined = refined, refine_colours(labels, refined)
-        # Ranks only split classes, so with as many classes none split.
-        if refined.max() == colours.max():
-            return refined.tolist()
+    return equitable_colours(labels, np.searchsorted(distinct_values(diagonal), diagonal)).tolist()
 
 
 def _search(

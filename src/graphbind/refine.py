@@ -27,16 +27,18 @@ reference round runs and refinement continues, so the stable graph returned
 is always the exact one, numbered as the reference rounds number it.
 
 `search_automorphisms` finds label-preserving vertex permutations by
-individualization-refinement (McKay & Piperno 2014) and verifies each one;
-`gi_decide` runs it once per decision, on the wing graph, and lifts what it
-finds to the binding graph.  The stabilization loops take such permutations
-(`automorphisms=`), check each once against the seeded graph, and use the
-group they generate twice.  An evaluated round computes its products for one
-row per vertex orbit and reads every entry off its orbit's row, with the
-full product's values, when there are fewer orbits than half the vertices.
-The check compares one entry per orbit, since an automorphism maps each
-entry's pair codes onto its image's term by term.  Without permutations,
-both run in full.
+individualization-refinement (McKay & Piperno 2014), every node refined by
+`core.equitable_colours`, and verifies each one; `gi_decide` runs it once
+per decision, on the wing graph, and lifts what it finds to the binding
+graph.  The stabilization loops take such permutations (`automorphisms=`),
+check each once against the seeded graph, and use the group they generate
+twice.  The search and the loops find orbits by one routine,
+`_least_in_orbit`, which gives each vertex the least vertex of its orbit.
+An evaluated round computes its products for one row per vertex orbit and
+reads every entry off its orbit's row, with the full product's values,
+when there are fewer orbits than half the vertices.  The check compares
+one entry per orbit, since an automorphism maps each entry's pair codes
+onto its image's term by term.  Without permutations, both run in full.
 
 The numeric first-come-first-served variant that loses exactness -- it feeds
 numbers, not independent variables, into the next product -- is kept as
@@ -58,11 +60,11 @@ from .core import (
     dense_labels,
     dim,
     distinct_values,
+    equitable_colours,
     first_encounter_ids,
     first_encounter_relabel,
     is_equivalent,
     is_simple,
-    refine_colours,
 )
 from .descgraph import walk_powers
 
@@ -336,23 +338,13 @@ def _unchecked(kind: type, labels: np.ndarray) -> AnyGraph:
     return g
 
 
-def _equitable(labels: np.ndarray, colours: np.ndarray) -> np.ndarray:
-    """The coarsest equitable refinement of `colours`, ranks 0..k-1: rounds of
-    `refine_colours` until no colour splits."""
-    while True:
-        refined = refine_colours(labels, colours)
-        if refined.max() == colours.max():
-            return refined
-        colours = refined
-
-
 def _individualized(labels: np.ndarray, colours: np.ndarray, x: int) -> np.ndarray:
     """Give vertex `x` a colour of its own, just below the rest of its cell,
-    and refine to the equitable colouring (`_equitable`)."""
+    and refine to the equitable colouring (`equitable_colours`)."""
     c = colours[x]
     split = colours + (colours > c) + (colours == c)
     split[x] = c
-    return _equitable(labels, split)
+    return equitable_colours(labels, split)
 
 
 def _quotient(labels: np.ndarray, colours: np.ndarray, stride: int) -> np.ndarray:
@@ -391,19 +383,19 @@ def search_automorphisms(g: AnyGraph) -> list[np.ndarray]:
     (McKay & Piperno, "Practical graph isomorphism, II", 2014).
 
     Every node of the search tree is an equitable colouring, ranked so that
-    it compares across nodes (`_equitable`): the root refines the ranks of
-    the diagonal labels, and a child individualizes one vertex of its
-    parent's first smallest cell with two or more vertices
+    it compares across nodes (`equitable_colours`): the root refines the
+    ranks of the diagonal labels, and a child individualizes one vertex of
+    its parent's first smallest cell with two or more vertices
     (`_individualized`).  The base path always takes the least such vertex,
     down to a discrete leaf.  From its deepest level up, every other vertex y
     of the base node's cell is tried, one per orbit of the permutations found
-    so far, whether or not an earlier y gave one: all of them fix the base
-    path above, so y's orbit-mates share its answer.  The subtree under y is
-    searched depth first, the least vertex first, so its first leaf is
-    greedy.  A node whose invariant (`_quotient`) differs from the base
-    path's at its depth is pruned; any other yields the permutation that
-    maps the base path's node onto it (`_mapped`), which is kept, and ends
-    y's search, if it preserves every label (`_preserves_labels`).  Cells
+    so far (`_least_in_orbit`), whether or not an earlier y gave one: all of
+    them fix the base path above, so y's orbit-mates share its answer.  The
+    subtree under y is searched depth first, the least vertex first, so its
+    first leaf is greedy.  A node whose invariant (`_quotient`) differs from
+    the base path's at its depth is pruned; any other yields the permutation
+    that maps the base path's node onto it (`_mapped`), which is kept, and
+    ends y's search, if it preserves every label (`_preserves_labels`).  Cells
     keep their positions under refinement, so a kept permutation fixes the
     base path above y and maps its vertex there to y; with the search
     complete the permutations generate the group.
@@ -421,7 +413,7 @@ def search_automorphisms(g: AnyGraph) -> list[np.ndarray]:
         sizes = np.bincount(colours)
         return int(np.argmin(np.where(sizes >= 2, sizes, n + 1))) if sizes.max() >= 2 else None
 
-    path = [_equitable(labels, np.unique(labels.diagonal(), return_inverse=True)[1])]
+    path = [equitable_colours(labels, np.unique(labels.diagonal(), return_inverse=True)[1])]
     cells: list[int] = []  # the colour individualized at each depth of the base path
     while (c := target(path[-1])) is not None:  # at most n - 1 steps, within the budget
         steps -= 1
@@ -454,29 +446,39 @@ def search_automorphisms(g: AnyGraph) -> list[np.ndarray]:
         return None
 
     generators: list[np.ndarray] = []
-    orbit = list(range(n))  # union-find forest of the orbits of `generators`
-
-    def root(v: int) -> int:
-        while orbit[v] != v:
-            orbit[v] = orbit[orbit[v]]
-            v = orbit[v]
-        return v
-
+    least = np.arange(n)  # the least vertex of every orbit of `generators`
     for depth in reversed(range(len(cells))):
         cell = np.flatnonzero(path[depth] == cells[depth]).tolist()
         tried = [cell[0]]
         for y in cell[1:]:
-            if root(y) in {root(t) for t in tried}:
+            if least[y] in {least[t] for t in tried}:
                 continue
             tried.append(y)
             pi = below(depth, y)
             if pi is not None:
                 generators.append(pi)
-                for u in np.flatnonzero(pi != np.arange(n)).tolist():
-                    orbit[root(u)] = root(int(pi[u]))
+                least = _least_in_orbit([least, pi], n)  # the orbits so far, joined by pi's
             elif steps == 0:
                 return generators
     return generators
+
+
+def _least_in_orbit(generators: Sequence[np.ndarray], n: int) -> np.ndarray:
+    """The least vertex of every vertex's orbit under the group that the
+    permutations `generators` of n vertices generate.  Any map f of the
+    vertices may stand among them, joining u and f(u): a previous result
+    joins its orbits.  Each vertex's value stays in its orbit and only
+    decreases: every pass lowers it to its images' values and its images'
+    to its own, then jumps pointers, until a pass changes nothing."""
+    least = np.arange(n)
+    while True:
+        before = least.copy()
+        for f in generators:
+            np.minimum(least, least[f], out=least)
+            np.minimum.at(least, f, least)
+        least = least[least]
+        if np.array_equal(least, before):
+            return least
 
 
 @dataclass(frozen=True)
@@ -498,13 +500,14 @@ def _symmetry(labels: np.ndarray, automorphisms, symmetric: bool) -> _Symmetry:
     every entry of `labels`, and build the orbit data of the group they
     generate.
 
-    The orbits come from their least vertices, r(u) for vertex u.  Only if
-    there are fewer orbits than half the vertices is the gather index built:
-    a breadth-first search over the generators from the representatives
-    finds for every u a group element t_u with t_u(u) = r(u), and entry
-    (u, v) of a round's product reads row r(u), column t_u(v) of the
-    product of the representatives' rows.  For a `symmetric` graph only the
-    upper triangle is evaluated, so only its entries are indexed.
+    The orbits come from their least vertices, r(u) for vertex u
+    (`_least_in_orbit`).  Only if there are fewer orbits than half the
+    vertices is the gather index built: a breadth-first search over the
+    generators from the representatives finds for every u a group element
+    t_u with t_u(u) = r(u), and entry (u, v) of a round's product reads row
+    r(u), column t_u(v) of the product of the representatives' rows.  For a
+    `symmetric` graph only the upper triangle is evaluated, so only its
+    entries are indexed.
     """
     n = labels.shape[0]
     generators = []
@@ -518,16 +521,7 @@ def _symmetry(labels: np.ndarray, automorphisms, symmetric: bool) -> _Symmetry:
         ):
             raise GraphError(f"automorphism {k} is not a permutation of the {n} vertices that preserves every label")
         generators.append(pi.astype(np.intp))
-    # least[u] is a vertex of u's orbit, at most u, until it is the least.
-    least = np.arange(n)
-    while True:
-        before = least.copy()
-        for pi in generators:
-            np.minimum(least, least[pi], out=least)
-            least[pi] = np.minimum(least[pi], least)
-        least = least[least]
-        if np.array_equal(least, before):
-            break
+    least = _least_in_orbit(generators, n)
     representatives = np.flatnonzero(least == np.arange(n))
     if 2 * representatives.size >= n:
         return _Symmetry(tuple(generators), representatives, None)

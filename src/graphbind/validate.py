@@ -304,8 +304,8 @@ def binding_lemmas(g: LabeledGraph) -> list[str]:
     b = binding_graph(g)
     m = sas_stabilize(b.graph).stable.labels
     x = wl_stabilize(b.graph).stable.labels
-    u, v = np.array(list(b.binder), dtype=np.int64).T
-    p = np.array(list(b.binder.values()), dtype=np.int64)
+    u, v = np.triu_indices(b.basic_n, 1)  # the pair of binding vertex p, by `pair_rank`
+    p = np.arange(b.basic_n, b.n1)
     # Binding edges that bind basic edges never share stable labels with
     # binding edges that bind blank basic pairs.
     edge = b.graph.labels[u, v] != 0

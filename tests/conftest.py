@@ -23,6 +23,12 @@ def as_graph(doc) -> LabeledGraph:
     return LabeledGraph(np.asarray(doc, dtype=np.int64))
 
 
+def binders(b) -> dict[tuple[int, int], int]:
+    """The binding vertex of every basic pair u < v, in `pair_rank` order."""
+    u, v = np.triu_indices(b.basic_n, 1)
+    return {(x, y): b.binding_vertex(x, y) for x, y in zip(u.tolist(), v.tolist())}
+
+
 def cells_from_diagonal(g) -> list[list[int]]:
     """Independent partition reader: group vertices by diagonal entry."""
     groups: dict[int, list[int]] = {}

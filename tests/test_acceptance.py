@@ -41,7 +41,7 @@ from graphbind.validate import (
     strongly_regular_one_round,
 )
 
-from conftest import as_graph, cells_from_diagonal
+from conftest import as_graph, binders, cells_from_diagonal
 
 ARTIFACTS = Path(__file__).parent / "artifacts"
 
@@ -92,7 +92,7 @@ class TestCriterion1Reproduction:
             tuple(sorted(np.flatnonzero(ref_bi[p]).tolist())): p for p in range(8, 36)
         }
         perm = list(range(8)) + [0] * 28
-        for pair, p in b8.binder.items():
+        for pair, p in binders(b8).items():
             perm[p] = ref_pairs[pair]
         phi = build_phi(b8, stable8)
         theta = build_theta(phi, b8)

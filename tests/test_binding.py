@@ -41,7 +41,7 @@ from graphbind.oracle import automorphism_orbits, is_isomorphic_bruteforce
 from graphbind.partition import vertex_partition
 from graphbind.refine import sas_stabilize, wl_stabilize
 
-from conftest import as_graph
+from conftest import as_graph, binders
 
 
 def binder_permutation(ours, ref_matrix: np.ndarray) -> list[int]:
@@ -53,7 +53,7 @@ def binder_permutation(ours, ref_matrix: np.ndarray) -> list[int]:
         nb = tuple(sorted(np.flatnonzero(ref_matrix[p]).tolist()))
         ref_pairs[nb] = p
     perm = list(range(n)) + [0] * (ours.n1 - n)
-    for pair, p in ours.binder.items():
+    for pair, p in binders(ours).items():
         perm[p] = ref_pairs[pair]
     return perm
 
@@ -98,23 +98,28 @@ class TestBindingGraph:
         ranks = [pair_rank(u, v, 4) for u in range(4) for v in range(u + 1, 4)]
         assert ranks == list(range(6))
         b = binding_graph(complete_graph(4))
-        assert b.binder == {(u, v): 4 + pair_rank(u, v, 4) for u in range(4) for v in range(u + 1, 4)}
+        for u in range(4):
+            for v in range(u + 1, 4):
+                assert b.binding_vertex(u, v) == b.binding_vertex(v, u) == 4 + pair_rank(u, v, 4)
 
-    def test_rejects_an_inconsistent_binder(self):
-        b = binding_graph(complete_graph(4))
-
-        def rebuilt(changes: dict, basic_n: int = 4) -> BindingGraph:
-            return BindingGraph(graph=b.graph, basic_n=basic_n, binder={**b.binder, **changes})
-
+    def test_rejects_a_graph_not_numbered_by_pair_rank(self):
+        b = binding_graph(cycle_graph(4))
         with pytest.raises(GraphError, match="^binding graph of 5 basic vertices has order 15$"):
-            rebuilt({}, basic_n=5)
-        with pytest.raises(GraphError, match="^binder must map every unordered basic pair$"):
-            rebuilt({(0, 0): 4})
-        with pytest.raises(GraphError, match="^binder indices out of range$"):
-            rebuilt({(2, 3): 10})
-        # The first inconsistent pair in the binder's order is reported.
-        with pytest.raises(GraphError, match=r"^binding vertex 5 must be adjacent to exactly \{0,1\}$"):
-            rebuilt({(0, 1): 5, (0, 2): 4, (2, 3): 10})
+            BindingGraph(graph=b.graph, basic_n=5)
+        with pytest.raises(GraphError, match="^binding graph of -2 basic vertices has order 1$"):
+            BindingGraph(graph=LabeledGraph(np.zeros((1, 1), dtype=np.int64)), basic_n=-2)
+        # Binders swapped in pairs: each still binds exactly one basic pair,
+        # but not the pair that its `pair_rank` number names, so the lift of
+        # a basic automorphism would not preserve the graph.
+        swapped = permuted(b.graph, [0, 1, 2, 3, 5, 4, 7, 6, 9, 8])
+        with pytest.raises(GraphError, match=r"^binding vertex 4 must be adjacent to exactly \{0,1\}$"):
+            BindingGraph(graph=swapped, basic_n=4)
+        # A binding vertex with a non-blank diagonal.
+        looped = b.graph.labels.copy()
+        looped[7, 7] = 1
+        with pytest.raises(GraphError, match=r"^binding vertex 7 must be adjacent to exactly \{1,2\}$"):
+            BindingGraph(graph=LabeledGraph(looped), basic_n=4)
+        assert BindingGraph(graph=b.graph, basic_n=4).binding_vertex(1, 2) == 7
 
 
 class TestWingGraph:
@@ -207,10 +212,10 @@ class TestDerived:
 def counted_bv_labeling(pi: dict[int, int], n: int) -> BvLabelingReport:
     """`check_stable_bv_labeling` as it counted types and degrees in dict loops,
     kept as the reference for its colour-refinement rounds."""
-    b = plain_binding_graph(n)
-    bound = {p: pair for pair, p in b.binder.items()}
+    pairs = binders(plain_binding_graph(n))
+    bound = {p: pair for pair, p in pairs.items()}
     types: dict[int, Counter] = {u: Counter() for u in range(n)}
-    for (u, v), p in b.binder.items():
+    for (u, v), p in pairs.items():
         types[u][pi[p]] += 1
         types[v][pi[p]] += 1
     by_type: dict[tuple, list[int]] = {}
@@ -252,8 +257,8 @@ def random_bv_labeling(rng: np.random.Generator, b: BindingGraph) -> dict[int, i
     table = rng.choice(BV_LABELS, size=(3, 3))
     table = np.minimum(table, table.T) if rng.random() < 0.5 else np.maximum(table, table.T)
     if rng.random() < 0.25:
-        return {p: int(rng.choice(BV_LABELS[:4])) for p in b.binder.values()}
-    return {p: int(table[colour[u], colour[v]]) for (u, v), p in b.binder.items()}
+        return {p: int(rng.choice(BV_LABELS[:4])) for p in binders(b).values()}
+    return {p: int(table[colour[u], colour[v]]) for (u, v), p in binders(b).items()}
 
 
 class TestPlainBindingAndLabelings:

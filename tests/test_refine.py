@@ -44,6 +44,7 @@ from graphbind.refine import (
     VertexRecognitionError,
     _evaluations,
     _exactly_stable,
+    _least_in_orbit,
     _preserves_labels,
     _symmetry,
     kpower_step,
@@ -837,6 +838,29 @@ class TestAutomorphismSearch:
             for stabilize in (sas_stabilize, wl_stabilize):
                 with pytest.raises(GraphError, match="automorphism 1 is not"):
                     stabilize(LabeledGraph(m), [np.arange(3), swap])
+
+    def test_least_in_orbit_agrees_with_a_union_find(self):
+        # Each generator permutes a random subset of the vertices, so the
+        # generated groups have anywhere from one orbit to n.
+        rng = np.random.default_rng(40)
+        for n in range(1, 41):
+            for count in range(5):
+                for _ in range(3):
+                    generators = []
+                    for _ in range(count):
+                        pi = np.arange(n)
+                        moved = rng.choice(n, size=rng.integers(0, n + 1), replace=False)
+                        pi[moved] = rng.permutation(moved)
+                        generators.append(pi)
+                    expected = np.empty(n, dtype=np.int64)
+                    for cell in orbit_partition(n, generators).cells:
+                        expected[list(cell)] = min(cell)
+                    assert np.array_equal(_least_in_orbit(generators, n), expected)
+                    # A previous result stands for its generators, as in the search.
+                    joined = np.arange(n)
+                    for pi in generators:
+                        joined = _least_in_orbit([joined, pi], n)
+                    assert np.array_equal(joined, expected)
 
     def test_stabilizers_refuse_what_is_not_a_vertex_permutation(self):
         g = cycle_graph(4)

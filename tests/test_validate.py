@@ -25,6 +25,8 @@ from graphbind.validate import (
     validate_suite,
 )
 
+from conftest import binders
+
 ROUND_COUNT_FINDINGS = Path(__file__).parent / "artifacts" / "criterion4_round_counts.json"
 
 
@@ -155,7 +157,7 @@ class TestBindingLemmas:
         b = binding_graph(g)
         m = validate.sas_stabilize(b.graph).stable.labels
         x = validate.wl_stabilize(b.graph).stable.labels
-        pairs = list(b.binder.items())
+        pairs = list(binders(b).items())
         details = []
         on_edge, on_blank = set(), set()
         for (u, v), p in pairs:

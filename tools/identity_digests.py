@@ -169,20 +169,21 @@ def equitable_results() -> list:
 def bvlabel_results() -> list:
     """The reports the `bvlabel` line digests, in order."""
     import numpy as np
-    from graphbind.binding import check_stable_bv_labeling, plain_binding_graph
+    from graphbind.binding import check_stable_bv_labeling
 
     rng = np.random.default_rng(ORACLE_SEED)
     results: list = []
     for n in range(2, 8):
-        binder = plain_binding_graph(n).binder
+        # Binding vertex n + k binds the k-th pair, in `pair_rank` order.
+        pairs = list(zip(*np.triu_indices(n, 1)))
         for _ in range(BVLABELS_PER_ORDER):
             colour = rng.integers(0, rng.integers(1, 4), size=n)
             table = rng.choice(BVLABEL_VALUES, size=(3, 3))
             table = np.minimum(table, table.T)
             if rng.random() < 0.25:
-                pi = {p: int(rng.choice(BVLABEL_VALUES[:4])) for p in binder.values()}
+                pi = {n + k: int(rng.choice(BVLABEL_VALUES[:4])) for k in range(len(pairs))}
             else:
-                pi = {p: int(table[colour[u], colour[v]]) for (u, v), p in binder.items()}
+                pi = {n + k: int(table[colour[u], colour[v]]) for k, (u, v) in enumerate(pairs)}
             report = check_stable_bv_labeling(pi, n)
             partitions = [report.basic_partition.cells, report.binding_partition.cells]
             results.append([report.stable, *partitions, sorted(report.degree_table.items())])
