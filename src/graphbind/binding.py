@@ -165,8 +165,8 @@ def build_theta(phi: LabeledGraph, b: BindingGraph) -> LabeledGraph:
     n = b.basic_n
     fresh = int(phi.labels.max()) + 1
     out = np.zeros((b.n1, b.n1), dtype=np.int64)
-    for p in range(n, b.n1):
-        out[p, p] = phi.labels[p, p]
+    bound = np.arange(n, b.n1)
+    out[bound, bound] = phi.labels[bound, bound]
     binding_edges = (b.graph.labels != BLANK) & ~np.eye(b.n1, dtype=bool)
     binding_edges[:n, :n] = False
     out[binding_edges] = fresh

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from typing import Literal
 
 import numpy as np
@@ -64,7 +65,7 @@ def read_order(path: str | os.PathLike, format: Format) -> int | None:
     try:
         text = line.decode("ascii").strip()
         if format == "graph6":
-            return _graph6_order(text.removeprefix(">>graph6<<"))[0]
+            return _graph6_order(text.removeprefix(">>graph6<<"), 1, 0)[0]
         cut = len(line) == HEADER_BYTES and not line.endswith(b"\n")
         return None if cut else _edgelist_order(text, 1)
     except (UnicodeDecodeError, ParseError):
@@ -109,21 +110,23 @@ def guess_format(path: str | os.PathLike) -> Format:
 # ---------------------------------------------------------------------------
 # graph6 (the standard ASCII encoding for simple graphs).
 
-def _graph6_sextets(chars: str, offset: int) -> np.ndarray:
-    """The 6-bit values of graph6 characters that start at column `offset` + 1."""
+def _graph6_sextets(chars: str, line_no: int, offset: int) -> np.ndarray:
+    """The 6-bit values of graph6 characters that start at column `offset` + 1
+    of line `line_no`."""
     codes = np.frombuffer(chars.encode("utf-32-le"), dtype="<u4")
     bad = np.flatnonzero((codes < 63) | (codes > 126))
     if bad.size:
-        raise ParseError(f"invalid graph6 character {chars[bad[0]]!r}", 1, offset + int(bad[0]) + 1)
+        raise ParseError(f"invalid graph6 character {chars[bad[0]]!r}", line_no, offset + int(bad[0]) + 1)
     return (codes - 63).astype(np.uint8)
 
 
-def _graph6_order(line: str) -> tuple[int, int]:
-    """The order in the size header of a graph6 line, bounded, and the column
-    where its body starts.  The header takes at most 8 characters."""
+def _graph6_order(line: str, line_no: int, offset: int) -> tuple[int, int]:
+    """The order in the size header of a graph6 `line`, bounded, and the index
+    in `line` where its body starts.  The header takes at most 8 characters,
+    from column `offset` + 1 of line `line_no`."""
     if not line:
-        raise ParseError("empty graph6 input", 1)
-    data = _graph6_sextets(line[:8], 0)
+        raise ParseError("empty graph6 input", line_no, offset + 1)
+    data = _graph6_sextets(line[:8], line_no, offset)
     if data[0] <= 62:
         n, start = int(data[0]), 1
     elif len(data) >= 4 and data[1] <= 62:
@@ -133,22 +136,29 @@ def _graph6_order(line: str) -> tuple[int, int]:
         for b in data[2:8].tolist():
             n = (n << 6) + b
     else:
-        raise ParseError("truncated graph6 size header", 1)
+        raise ParseError("truncated graph6 size header", line_no, offset + 1)
     if n < 1:
-        raise ParseError("graph6 order must be at least 1", 1)
+        raise ParseError("graph6 order must be at least 1", line_no, offset + 1)
     if n > max_evaluated_order():
-        raise ParseError(f"graph6 order {n} is above the largest order {max_evaluated_order()}", 1)
+        raise ParseError(f"graph6 order {n} is above the largest order {max_evaluated_order()}", line_no, offset + 1)
     return n, start
 
 
 def _parse_graph6(text: str) -> LabeledGraph:
-    line = text.strip().splitlines()[0].strip().removeprefix(">>graph6<<") if text.strip() else ""
+    """The graph6 graph on the first non-blank line of `text`, after leading
+    whitespace and an optional ">>graph6<<" header; errors point into `text`."""
+    lines = text.splitlines()
+    line_no, line = next(((i + 1, line) for i, line in enumerate(lines) if line.strip()), (1, ""))
+    offset = len(line) - len(line.lstrip())
+    if line.startswith(">>graph6<<", offset):
+        offset += len(">>graph6<<")
+    line = line[offset:].rstrip()
     # The order is bounded before the body is decoded.
-    n, start = _graph6_order(line)
-    body = _graph6_sextets(line[start:], start)
+    n, start = _graph6_order(line, line_no, offset)
+    body = _graph6_sextets(line[start:], line_no, offset + start)
     need = (n * (n - 1) // 2 + 5) // 6
     if len(body) != need:
-        raise ParseError(f"expected {need} body characters, got {len(body)}", 1)
+        raise ParseError(f"expected {need} body characters, got {len(body)}", line_no, offset + start + 1)
     # Six bits per character, high bit first, over the pairs u < v ordered
     # by v and then u: the row-major order of the strict lower triangle.
     bits = np.unpackbits(body[:, None], axis=1)[:, 2:].ravel()
@@ -208,7 +218,8 @@ def _parse_edgelist(text: str) -> LabeledGraph:
             try:
                 ends.append(int(part))
             except ValueError:
-                column = line.index(part) + 1
+                # The token's own span: its text may also occur earlier in the line.
+                column = [token.start() for token in re.finditer(r"\S+", line)][k] + 1
                 raise ParseError(f"not an integer: {part!r}", line_no, column) from None
         u, v = ends
         if not (1 <= u <= n and 1 <= v <= n):

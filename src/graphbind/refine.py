@@ -12,33 +12,27 @@ prime field GF(`PRIME`): each label is a variable, the square is one
 float64 matrix product per point, and every entry gets `EVALUATIONS` values.
 Equal multisets always evaluate equal, so evaluations can only merge
 classes that the exact round keeps apart (Schwartz-Zippel bounds the chance
-by 2/`PRIME` per point).  The reference rounds `sas_step` and `wl_step` are
-exact: within each class of equal evaluations they compare the entries'
-sorted pair-code rows, block by block (`_unequal_classes`), and split by
-their rows the classes whose rows differ.  The rounds of `sas_stabilize`
-and `wl_stabilize` key every entry by its evaluations and its previous
-label, so they refine their input; unless evaluations collide, one sort of
-them numbers the round.  Every round numbers its labels 1..d, so the loop
-reads a round's dimension off its largest label, and a round whose entries
-all differ is stable without another round.  Every other round that grows
-the dimension is checked exactly, the diagonal entries' rows first, and a
-stable iterate is returned at once.  Where a collision hid a split, the
-reference round runs and refinement continues, so the stable graph returned
-is always the exact one, numbered as the reference rounds number it.
+by 2/`PRIME` per point).  An evaluated round keys every entry by its
+evaluations and its previous label, so it refines its input.  The
+reference rounds `sas_step` and `wl_step` are exact: the evaluated round
+split by rows, that is, its classes whose entries' sorted pair-code rows
+differ (`_unequal_classes`) split by those rows.  `sas_stabilize` and
+`wl_stabilize` check each evaluated round that grows the dimension and
+return a stable one at once; a round that keeps the dimension they split
+by rows where it stands, so the stable graph is the exact one.
 
 `search_automorphisms` finds label-preserving vertex permutations by
 individualization-refinement (McKay & Piperno 2014), every node refined by
 `core.equitable_colours`, and verifies each one; `gi_decide` runs it once
 per decision, on the wing graph, and lifts what it finds to the binding
 graph.  The stabilization loops take such permutations (`automorphisms=`),
-check each once against the seeded graph, and use the group they generate
-twice.  The search and the loops find orbits by one routine,
-`_least_in_orbit`, which gives each vertex the least vertex of its orbit.
-An evaluated round computes its products for one row per vertex orbit and
-reads every entry off its orbit's row, with the full product's values,
-when there are fewer orbits than half the vertices.  The check compares
-one entry per orbit, since an automorphism maps each entry's pair codes
-onto its image's term by term.  Without permutations, both run in full.
+check each once against the seeded graph, and use the group they generate,
+the trivial group if none, twice.  Orbits come from one routine,
+`_least_in_orbit`, the least vertex of each vertex's orbit.  With fewer
+orbits than half the vertices, an evaluated round computes its products
+for one row per orbit and reads every entry off its orbit's row, with the
+full product's values.  The check compares one entry per orbit, since an
+automorphism maps each entry's pair codes onto its image's term by term.
 
 The numeric first-come-first-served variant that loses exactness -- it feeds
 numbers, not independent variables, into the next product -- is kept as
@@ -182,9 +176,7 @@ def _unequal_classes(rows: Callable, block: int, keys: np.ndarray, positions: np
             yield block_keys[1:][differs]
 
 
-def _evaluations(
-    g: AnyGraph, rng: np.random.Generator, symmetry: _Symmetry | None = None
-) -> tuple[np.ndarray, np.ndarray | None]:
+def _evaluations(g: AnyGraph, rng: np.random.Generator, symmetry: _Symmetry) -> np.ndarray:
     """The evaluations of one round of `g`'s process at random field points.
 
     Entry (u,v) of the symbolic square of a LabeledGraph is
@@ -193,20 +185,17 @@ def _evaluations(
     gives one float64 matrix product, exact below 2**53, reduced mod PRIME,
     and an entry's evaluations pack into one int64 below PRIME**3 < 2**60.
     A square is symmetric, so only its upper triangle is evaluated, over the
-    returned mask (None for the ordered product): row-major, it meets every
-    value where the full matrix does, so first-encounter ids agree.
+    mask of `symmetry`: row-major, it meets every value where the full
+    matrix does, so first-encounter ids agree.
 
-    Under automorphisms of `g` with a gather index (`_symmetry`), each point
-    gives the product of the rows of the orbits' least vertices only, and
-    the packed evaluations are read off it once: entry (u, v) equals entry
-    (t u, t v) for every automorphism t.  Its sums are the same integers,
-    exact in float64, so the values are those of the full product.
+    With a gather index (`_symmetry`), each point gives the product of the
+    orbits' least vertices' rows only, and the packed evaluations are read
+    off it once: entry (u, v) equals entry (t u, t v) for every automorphism
+    t.  Its sums are the same integers, so the values are the full product's.
     """
     m = dense_labels(g.labels)
-    n = g.n
-    directed = isinstance(g, DirectedLabeledGraph)
-    upper = None if directed else np.triu(np.ones((n, n), dtype=bool))
-    by_orbit = symmetry is not None and symmetry.gather is not None
+    directed = symmetry.upper is None
+    by_orbit = symmetry.gather is not None
     size = (1 + directed, int(m.max()) + 1)
     values = None
     for _ in range(EVALUATIONS):
@@ -218,7 +207,7 @@ def _evaluations(
         right = x[1][m] if directed else left.T
         product = (left[symmetry.representatives] if by_orbit else left) @ right
         del left, right
-        entries = (product.ravel() if directed or by_orbit else product[upper]).astype(np.int64)
+        entries = (product.ravel() if directed or by_orbit else product[symmetry.upper]).astype(np.int64)
         del product
         entries %= PRIME
         if values is None:
@@ -226,7 +215,7 @@ def _evaluations(
         else:
             values *= PRIME
             values += entries
-    return (values[symmetry.gather] if by_orbit else values), upper
+    return values[symmetry.gather] if by_orbit else values
 
 
 def _mirrored(ids: np.ndarray, upper: np.ndarray) -> np.ndarray:
@@ -237,29 +226,38 @@ def _mirrored(ids: np.ndarray, upper: np.ndarray) -> np.ndarray:
     return out
 
 
+def _split_by_rows(g: AnyGraph, labels: np.ndarray, symmetry: _Symmetry) -> np.ndarray:
+    """`labels`, a round of `g`, with each class whose pair-code rows of `g`
+    differ (`_unequal_classes`) split by them; `labels` itself if none do."""
+    upper = symmetry.upper
+    positions = np.arange(g.n**2) if upper is None else np.flatnonzero(upper)
+    keys = labels.ravel()[positions]
+    rows, block = _pair_code_builder(g)
+    unequal = [*_unequal_classes(rows, block, keys, positions)]
+    if not unequal:
+        return labels
+    chosen = np.isin(keys, np.concatenate(unequal))
+    split = np.zeros(keys.size, dtype=np.int64)
+    split[chosen] = np.unique(rows(positions[chosen]), axis=0, return_inverse=True)[1] + 1
+    ids = first_encounter_relabel(keys, split)
+    return ids.reshape(g.n, g.n) if upper is None else _mirrored(ids, upper)
+
+
 def _exact_round(g: AnyGraph, kind: type) -> AnyGraph:
     """One exact round of the `kind` graph `g`: equal pair-code rows, equal labels.
 
-    Equal rows always evaluate equal (`_evaluations`), so the classes of
-    equal evaluations can only be coarser than the round's.  Those in which
-    `_unequal_classes` finds differing rows are split by their rows.  Labels
-    are 1, 2, ... by first encounter in row-major order, so they depend only
-    on the partition, not on the points drawn.
+    It is the evaluated round under the trivial group split by rows
+    (`_split_by_rows`): on a graph that recognizes vertices, equal rows force
+    equal evaluations, previous labels and transposed evaluations, so the
+    evaluated classes are never finer than the classes of equal rows.
     """
     if not isinstance(g, kind):
         raise GraphError(f"this round takes a {kind.__name__}, not a {type(g).__name__}")
     _require_recognizing(g)
     _require_evaluable(g.n)
-    values, upper = _evaluations(g, np.random.default_rng(EVALUATION_SEED))
-    positions = np.arange(g.n**2) if upper is None else np.flatnonzero(upper)
-    rows, block = _pair_code_builder(g)
-    unequal = [*_unequal_classes(rows, block, values, positions)]
-    split = np.zeros(values.size, dtype=np.int64)
-    if unequal:
-        chosen = np.isin(values, np.concatenate(unequal))
-        split[chosen] = np.unique(rows(positions[chosen]), axis=0, return_inverse=True)[1] + 1
-    ids = first_encounter_relabel(values, split)
-    return kind(ids.reshape(g.n, g.n) if upper is None else _mirrored(ids, upper))
+    symmetry = _symmetry(g.labels, (), kind is LabeledGraph)
+    labels = _evaluated_round(g, np.random.default_rng(EVALUATION_SEED), symmetry)
+    return kind(_split_by_rows(g, labels, symmetry))
 
 
 def sas_step(g: LabeledGraph) -> LabeledGraph:
@@ -312,7 +310,7 @@ class StabilizationTrace:
     dims: list[int] = field(default_factory=list)
 
 
-def _evaluated_round(g: AnyGraph, rng: np.random.Generator, symmetry: _Symmetry | None = None) -> np.ndarray:
+def _evaluated_round(g: AnyGraph, rng: np.random.Generator, symmetry: _Symmetry) -> np.ndarray:
     """One round of `g`'s process evaluated at random field points (`_evaluations`).
 
     Entries are keyed by their evaluations, then their previous label (for
@@ -322,7 +320,7 @@ def _evaluated_round(g: AnyGraph, rng: np.random.Generator, symmetry: _Symmetry 
     collision the evaluations alone decide the key, so the numbering costs
     one sort (`first_encounter_relabel`).
     """
-    values, upper = _evaluations(g, rng, symmetry)
+    values, upper = _evaluations(g, rng, symmetry), symmetry.upper
     if upper is None:
         return first_encounter_relabel(values, g.labels, values.reshape(g.n, -1).T).reshape(g.n, -1)
     return _mirrored(first_encounter_relabel(values, g.labels[upper]), upper)
@@ -330,8 +328,8 @@ def _evaluated_round(g: AnyGraph, rng: np.random.Generator, symmetry: _Symmetry 
 
 def _unchecked(kind: type, labels: np.ndarray) -> AnyGraph:
     """A `kind` graph over int64 `labels` valid by construction, built unchecked:
-    the seeded graph, or an evaluated round's ids from 1, which are symmetric
-    (`_mirrored`) or key each entry by its transposed entry's evaluations."""
+    the seeded graph, or a round's ids from 1: exact, symmetric (`_mirrored`),
+    or keyed by each entry's transposed entry's evaluations."""
     g = object.__new__(kind)
     labels.setflags(write=False)
     object.__setattr__(g, "labels", labels)
@@ -483,8 +481,8 @@ def _least_in_orbit(generators: Sequence[np.ndarray], n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Symmetry:
-    """Verified automorphisms of a stabilization's seeded graph, with the
-    orbit data that its rounds and its fixpoint check read off them."""
+    """Verified automorphisms of a stabilization's seeded graph, with the orbit
+    data its rounds and its check read off them; the trivial group if none."""
 
     generators: tuple[np.ndarray, ...]
     #: The least vertex of every orbit, increasing.
@@ -493,23 +491,25 @@ class _Symmetry:
     #: product of the representatives' rows; None where that product is not
     #: used (`_symmetry`).
     gather: np.ndarray | None
+    #: The upper triangle a symmetric round computes; None for the ordered product.
+    upper: np.ndarray | None
 
 
 def _symmetry(labels: np.ndarray, automorphisms, symmetric: bool) -> _Symmetry:
     """Check that each of `automorphisms` is a vertex permutation preserving
     every entry of `labels`, and build the orbit data of the group they
-    generate.
+    generate, with the upper-triangle mask if `symmetric`.
 
     The orbits come from their least vertices, r(u) for vertex u
     (`_least_in_orbit`).  Only if there are fewer orbits than half the
     vertices is the gather index built: a breadth-first search over the
     generators from the representatives finds for every u a group element
     t_u with t_u(u) = r(u), and entry (u, v) of a round's product reads row
-    r(u), column t_u(v) of the product of the representatives' rows.  For a
-    `symmetric` graph only the upper triangle is evaluated, so only its
-    entries are indexed.
+    r(u), column t_u(v) of the product of the representatives' rows, for
+    the entries a round evaluates only.
     """
     n = labels.shape[0]
+    upper = np.triu(np.ones((n, n), dtype=bool)) if symmetric else None
     generators = []
     for k, pi in enumerate(automorphisms):
         pi = np.asarray(pi)
@@ -524,7 +524,7 @@ def _symmetry(labels: np.ndarray, automorphisms, symmetric: bool) -> _Symmetry:
     least = _least_in_orbit(generators, n)
     representatives = np.flatnonzero(least == np.arange(n))
     if 2 * representatives.size >= n:
-        return _Symmetry(tuple(generators), representatives, None)
+        return _Symmetry(tuple(generators), representatives, None, upper)
     t = np.empty((n, n), dtype=np.int32)
     t[representatives] = np.arange(n, dtype=np.int32)
     reached = least == np.arange(n)
@@ -543,11 +543,11 @@ def _symmetry(labels: np.ndarray, automorphisms, symmetric: bool) -> _Symmetry:
     row = np.empty(n, dtype=np.int32)
     row[representatives] = np.arange(representatives.size, dtype=np.int32) * n
     t += row[least][:, None]
-    gather = t[np.triu(np.ones((n, n), dtype=bool))] if symmetric else t.ravel()
-    return _Symmetry(tuple(generators), representatives, gather)
+    gather = t[upper] if symmetric else t.ravel()
+    return _Symmetry(tuple(generators), representatives, gather, upper)
 
 
-def _exactly_stable(g: AnyGraph, symmetry: _Symmetry | None = None) -> bool:
+def _exactly_stable(g: AnyGraph, symmetry: _Symmetry) -> bool:
     """True iff the exact round would split no label class of `g`.
 
     Labels are at most n*n, as every round numbers them.  Entries of one
@@ -571,10 +571,10 @@ def _exactly_stable(g: AnyGraph, symmetry: _Symmetry | None = None) -> bool:
     if next(_unequal_classes(rows, block, g.labels.diagonal(), np.arange(n) * (n + 1)), None) is not None:
         return False
     checked = np.zeros((n, n), dtype=bool)
-    checked[np.arange(n) if symmetry is None else symmetry.representatives] = True
-    positions = np.flatnonzero(np.triu(checked) if symmetric else checked)
+    checked[symmetry.representatives] = True
+    positions = np.flatnonzero(checked if symmetry.upper is None else checked & symmetry.upper)
     del checked
-    for pi in () if symmetry is None else symmetry.generators:
+    for pi in symmetry.generators:
         u = pi[positions // n]
         v = pi[positions % n]
         if symmetric:  # in place, so that at most four position-sized arrays live
@@ -594,20 +594,20 @@ def _stabilize(g: LabeledGraph, kind: type, automorphisms) -> StabilizationTrace
     returned at once, counting the round that would only number its
     partition the same way again; so is a discrete one (every entry, or
     every unordered pair for a symmetric `kind`, its own class), unchecked.
-    A round that keeps the dimension of a graph short of stable met a
-    collision, and the reference round (`sas_step` or `wl_step`) takes its
-    place.  Every round numbers its labels 1..d; its dim is its largest.
+    A round that keeps the dimension is split by its input's rows
+    (`_split_by_rows`) into the exact round; if nothing splits, the input
+    was stable.  Every round numbers its labels 1..d; its dim is its largest.
 
     Each of `automorphisms` is checked once to preserve the seeded graph
-    (`_symmetry`).  Every round is invariant and numbers its labels by its
-    keys alone, so an automorphism of the seeded graph preserves every
-    iterate; the evaluated rounds compute their products by orbit rows and
-    the check compares one entry per orbit.
+    (`_symmetry`); with none the group is trivial.  Every round is invariant
+    and numbers its labels by its keys alone, so an automorphism of the
+    seeded graph preserves every iterate; the evaluated rounds compute their
+    products by orbit rows and the check compares one entry per orbit.
     """
     _require_evaluable(g.n)
     rng = np.random.default_rng(EVALUATION_SEED)
     current = _unchecked(kind, seed_recognize_vertices(g).labels)
-    symmetry = _symmetry(current.labels, automorphisms, kind is LabeledGraph) if len(automorphisms) else None
+    symmetry = _symmetry(current.labels, automorphisms, kind is LabeledGraph)
     round_bound = g.n * (g.n + 1) // 2 + 1
     discrete = g.n * (g.n + 1) // 2 if kind is LabeledGraph else g.n * g.n
     dims = [dim(current)]
@@ -618,10 +618,10 @@ def _stabilize(g: LabeledGraph, kind: type, automorphisms) -> StabilizationTrace
             # Dimension fixpoint implies equivalence; assert it once.
             if not is_equivalent(current, refined):
                 raise AssertionError("dimension fixpoint without equivalence; refinement is broken")
-            if rounds == 1 and _exactly_stable(refined, symmetry):  # later ones failed the check
-                return StabilizationTrace(stable=refined, rounds=rounds, dims=dims)
-            refined = (sas_step if kind is LabeledGraph else wl_step)(refined)
+            refined = _unchecked(kind, _split_by_rows(current, refined.labels, symmetry))
             dims[-1] = int(refined.labels.max())
+            if dims[-1] == dims[-2]:
+                return StabilizationTrace(stable=refined, rounds=rounds, dims=dims)
         if dims[-1] == discrete or _exactly_stable(refined, symmetry):
             dims.append(dims[-1])
             return StabilizationTrace(stable=refined, rounds=rounds + 1, dims=dims)

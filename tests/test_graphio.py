@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,15 @@ class TestEdgelist:
             loads_graph("3\n1 2\n2 x\n", "edgelist")
         assert err.value.line == 3
         assert err.value.column == 3
+
+    @pytest.mark.parametrize(
+        "text, token, column",
+        [("3\n1_0 1_\n", "1_", 5), ("3\n-1 -\n", "-", 4), ("3\n+2 +\n", "+", 4)],
+    )
+    def test_error_column_is_the_tokens_own(self, text, token, column):
+        # The bad token also starts the line's first token, which parses.
+        with pytest.raises(ParseError, match=re.escape(f"line 2, column {column}: not an integer: {token!r}")):
+            loads_graph(text, "edgelist")
 
     def test_out_of_range_endpoint(self):
         with pytest.raises(ParseError):
@@ -103,6 +114,14 @@ class TestGraph6:
     def test_rejects_garbage(self):
         with pytest.raises(ParseError):
             loads_graph("D\x07", "graph6")
+
+    def test_error_line_counts_leading_blank_lines(self):
+        with pytest.raises(ParseError, match=r"line 3, column 2: invalid graph6 character '\\x7f'"):
+            loads_graph("\n\nC\x7f", "graph6")
+
+    def test_error_column_counts_the_header_prefix(self):
+        with pytest.raises(ParseError, match=r"line 1, column 12: invalid graph6 character '\\x7f'"):
+            loads_graph(">>graph6<<C\x7f", "graph6")
 
     def test_truncated_body(self):
         with pytest.raises(ParseError):

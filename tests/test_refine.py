@@ -267,6 +267,31 @@ def binding_graphs_of_yes_and_no_pairs() -> list[LabeledGraph]:
     return bound_graphs
 
 
+def trivial_group(g):
+    """The trivial group of `g`, as a stabilization given no automorphisms holds it."""
+    return _symmetry(g.labels, (), isinstance(g, LabeledGraph))
+
+
+def recorded_splits(monkeypatch) -> list:
+    """Wrap `refine._split_by_rows` so that every split that changes the
+    labels appends (process, whether a gather index was held, labels) to
+    the returned list."""
+    import graphbind.refine as refine
+
+    splits = []
+    split = refine._split_by_rows
+
+    def recording(g, labels, symmetry):
+        out = split(g, labels, symmetry)
+        if not np.array_equal(out, labels):
+            process = "sas" if isinstance(g, LabeledGraph) else "wl"
+            splits.append((process, symmetry.gather is not None, out))
+        return out
+
+    monkeypatch.setattr(refine, "_split_by_rows", recording)
+    return splits
+
+
 def recorded_outputs(monkeypatch, module, name: str) -> list:
     """Wrap `module.name` so that every call's result is appended to the returned list."""
     outputs = []
@@ -620,11 +645,13 @@ class TestEvaluatedRounds:
             ):
                 evaluated.clear()
                 trace = stabilize(bound)
+                # The reference rounds evaluate too, so count before they run.
+                rounds_evaluated = len(evaluated)
                 self.assert_identical(trace, exact(bound))
                 # A stable graph, discrete or not, is returned without the
                 # round that would confirm it; the trace still counts that round.
                 discrete[name] += trace.dims[-1] == entries
-                assert len(evaluated) == trace.rounds - 1
+                assert rounds_evaluated == trace.rounds - 1
         assert discrete["sas"] > 0 and discrete["wl"] > 0
 
     def test_diagonal_pass_only_rejects(self):
@@ -638,7 +665,7 @@ class TestEvaluatedRounds:
         for g in (seeded, DirectedLabeledGraph(seeded.labels)):
             rows, block = refine._pair_code_builder(g)
             assert next(refine._unequal_classes(rows, block, g.labels.diagonal(), diagonal), None) is None
-            assert not _exactly_stable(g)
+            assert not _exactly_stable(g, trivial_group(g))
 
     def test_one_search_and_no_confirming_round_on_the_srg_binding_graph(self, monkeypatch):
         # Shrikhande against the rook graph (N = 561): one automorphism search
@@ -663,15 +690,17 @@ class TestEvaluatedRounds:
         from graphbind.refine import kpower_stabilize
 
         outputs = {
-            name: recorded_outputs(monkeypatch, refine, name)
-            for name in ("_evaluated_round", "sas_step", "wl_step", "kpower_step")
+            name: recorded_outputs(monkeypatch, refine, name) for name in ("_evaluated_round", "kpower_step")
         }
+        splits = recorded_splits(monkeypatch)
         graphs = [random_graph(4 + seed % 7, 0.5, seed=500 + seed) for seed in range(30)]
         traces = [kpower_stabilize(g, 3) for g in graphs[:6]]
         for prime in (PRIME, 2):
-            # Over GF(2) collisions are common, so the exact fallback runs.
+            # Over GF(2) collisions are common, so rounds are split by rows.
             monkeypatch.setattr(refine, "PRIME", prime)
             traces += [stabilize(g) for g in graphs for stabilize in (sas_stabilize, wl_stabilize)]
+        for process in ("sas", "wl"):
+            outputs[f"{process} split"] = [labels for name, _, labels in splits if name == process]
         for name, rounds in outputs.items():
             assert rounds, name
             for out in rounds:
@@ -685,24 +714,19 @@ class TestEvaluatedRounds:
         # check must catch every collision that hides a split.
         import graphbind.refine as refine
 
-        fallbacks = {"sas_step": 0, "wl_step": 0}
-
-        def counted(name, step):
-            def wrapper(g):
-                fallbacks[name] += 1
-                return step(g)
-
-            return wrapper
-
-        for name in fallbacks:
-            monkeypatch.setattr(refine, name, counted(name, getattr(refine, name)))
+        splits = recorded_splits(monkeypatch)
+        fallbacks = {"sas": 0, "wl": 0}
         for prime in (2, 3):
             monkeypatch.setattr(refine, "PRIME", prime)
             for seed in range(30):
                 g = random_graph(4 + seed % 7, 0.5, seed=500 + seed)
-                assert np.array_equal(sas_stabilize(g).stable.labels, exact_sas(g)[0].labels)
-                assert np.array_equal(wl_stabilize(g).stable.labels, exact_wl(g)[0].labels)
-        assert fallbacks["sas_step"] > 0 and fallbacks["wl_step"] > 0
+                for process, stabilize, exact in (("sas", sas_stabilize, exact_sas), ("wl", wl_stabilize, exact_wl)):
+                    # The reference rounds split too, so count before they run.
+                    splits.clear()
+                    stable = stabilize(g).stable
+                    fallbacks[process] += len(splits)
+                    assert np.array_equal(stable.labels, exact(g)[0].labels)
+        assert fallbacks["sas"] > 0 and fallbacks["wl"] > 0
 
     @pytest.mark.parametrize("block_bytes", [None, 1])
     def test_verifier_rejects_one_round_short_and_accepts_stable(
@@ -723,9 +747,10 @@ class TestEvaluatedRounds:
             for start, step in seeded_processes(g):
                 iterates = stable_iterates(start, step)
                 assert len(iterates) >= 3
-                assert not _exactly_stable(iterates[-3])
-                assert _exactly_stable(iterates[-2])
-        assert _exactly_stable(as_graph(reference["g21_stable"]))
+                assert not _exactly_stable(iterates[-3], trivial_group(iterates[-3]))
+                assert _exactly_stable(iterates[-2], trivial_group(iterates[-2]))
+        stable = as_graph(reference["g21_stable"])
+        assert _exactly_stable(stable, trivial_group(stable))
 
     @staticmethod
     def assert_check_agrees_with_the_round(graphs):
@@ -735,7 +760,7 @@ class TestEvaluatedRounds:
             for start, step in seeded_processes(g):
                 iterates = stable_iterates(start, step)
                 for current, refined in zip(iterates, iterates[1:]):
-                    assert _exactly_stable(current) == (dim(refined) == dim(current))
+                    assert _exactly_stable(current, trivial_group(current)) == (dim(refined) == dim(current))
 
     @pytest.mark.parametrize("block_bytes", [None, 1])
     def test_check_agrees_with_the_round_on_the_quick_corpus(self, monkeypatch, block_bytes):
@@ -834,7 +859,7 @@ class TestAutomorphismSearch:
             monkeypatch.setattr(refine, "CHECK_BLOCK_BYTES", block_bytes)
             for graph in (LabeledGraph(m), DirectedLabeledGraph(m)):
                 assert search_automorphisms(graph) == []
-                assert not _exactly_stable(graph)
+                assert not _exactly_stable(graph, trivial_group(graph))
             for stabilize in (sas_stabilize, wl_stabilize):
                 with pytest.raises(GraphError, match="automorphism 1 is not"):
                     stabilize(LabeledGraph(m), [np.arange(3), swap])
@@ -916,7 +941,7 @@ class TestAutomorphismSearch:
             assert np.array_equal(g.labels[np.ix_(pi, pi)], g.labels)
         assert g.n <= len(individualized) <= g.n**2
         assert orbit_partition(g.n, generators) == Partition((tuple(range(g.n)),))
-        assert _exactly_stable(g)
+        assert _exactly_stable(g, trivial_group(g))
         assert _exactly_stable(g, _symmetry(g.labels, generators, True))
 
     def test_decisions_identical_without_the_search(self, monkeypatch):
@@ -989,12 +1014,13 @@ class TestAutomorphismSearch:
                 current, grew = start, True
                 while grew:
                     state = rng.bit_generator.state
-                    values, upper = _evaluations(current, rng, symmetry)
+                    values = _evaluations(current, rng, symmetry)
                     full_rng = np.random.default_rng()
                     full_rng.bit_generator.state = state
-                    full, full_upper = _evaluations(current, full_rng)
+                    trivial = trivial_group(current)
+                    full = _evaluations(current, full_rng, trivial)
                     assert np.array_equal(values, full)
-                    assert (upper is None) == (full_upper is None)
+                    assert np.array_equal(symmetry.upper, trivial.upper)
                     assert full_rng.bit_generator.state == rng.bit_generator.state
                     rounds += 1
                     rng.bit_generator.state = state
@@ -1013,6 +1039,28 @@ class TestAutomorphismSearch:
                 iterates = stable_iterates(start, step)
                 for current, refined in zip(iterates, iterates[1:]):
                     assert _exactly_stable(current, symmetry) == (dim(refined) == dim(current))
+
+    def test_collisions_split_by_rows_under_lifted_automorphisms(self, monkeypatch):
+        # Over GF(2) and GF(3) rounds computed by orbit rows collide; the
+        # round held is split by rows under the gather index and the stable
+        # graph is the exact one.  Collisions change the rounds and dims on
+        # the way, but the lifts do not: they match the run without them.
+        import graphbind.refine as refine
+
+        bound, lifts = wing_lifts(*symmetric_pairs()[0])
+        references = {"sas": exact_sas(bound), "wl": exact_wl(bound)}
+        splits = recorded_splits(monkeypatch)
+        for prime in (2, 3):
+            monkeypatch.setattr(refine, "PRIME", prime)
+            for process, stabilize in (("sas", sas_stabilize), ("wl", wl_stabilize)):
+                stable, _, dims = references[process]
+                trace = stabilize(bound, lifts)
+                assert np.array_equal(trace.stable.labels, stable.labels)
+                assert trace.dims[-2:] == dims[-2:]
+                alone = stabilize(bound)
+                assert np.array_equal(alone.stable.labels, stable.labels)
+                assert (trace.rounds, trace.dims) == (alone.rounds, alone.dims)
+        assert {process for process, by_orbit, _ in splits if by_orbit} == {"sas", "wl"}
 
 
 class TestDeterminism:

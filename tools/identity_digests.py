@@ -16,7 +16,7 @@ lines stabilize every input identically, label for label.
 Groups: the audit's quick corpus (kpower with k = 3 for order <= 8 only);
 `collisions`, sas and wl on the quick corpus of order <= 8 with
 `refine.PRIME` set to 3, where evaluations collide often, so that the
-interner's collision path and the fallback to the exact round run;
+interner's collision path and the loop's split by rows run;
 `reference rounds`, the labels of `sas_step` and `wl_step` applied directly
 to each seeded quick-corpus graph of order <= 8 and to its next two
 iterates, once at the default `refine.PRIME` and once at 3, where the exact
@@ -61,13 +61,20 @@ number of violations and the first 16 hex digits of a sha256 over every
 check's entry without its `seconds`, the same entries the benchmark's
 `audit` fingerprint compares.
 
-The last line, `symmetries`, digests, for the wing graph of every pair of the
+The `symmetries` line digests, for the wing graph of every pair of the
 quick audit (`validate._representative_pairs` and `validate._gi_triples`)
 and of every `decide-random` and `decide-srg` input above, the orbit
 partition of the group that `refine.search_automorphisms` finds and the
 number of orbits of its lifts on the binding graph, which is the number of
 rows an evaluated round computes when it computes by orbit rows.  It does
 not digest the generators, which depend on the order of the search.
+
+The last line, `symmetric collisions`, digests `gi_decide(a, b).to_json()`
+with `refine.PRIME` set to 3 for every pair of the quick audit, under sas
+and then wl.  The decisions stabilize under the lifts of the wing graph's
+automorphisms, so evaluated rounds computed by orbit rows collide, and the
+rounds the loop splits by rows are split under a gather index; no other
+line runs that path.
 """
 
 from __future__ import annotations
@@ -229,16 +236,23 @@ def descgraph_results() -> list:
     return results
 
 
-def symmetry_results(workloads) -> list:
-    """The orbits and orbit-row counts the `symmetries` line digests, in order."""
-    from graphbind.binding import binding_graph, wing_graph
-    from graphbind.refine import _symmetry, search_automorphisms, seed_recognize_vertices
+def audit_pairs() -> list:
+    """The pairs of the quick audit: `validate._representative_pairs`, then
+    both pairs of each `validate._gi_triples` case."""
     from graphbind.validate import CorpusSpec, _gi_triples, _representative_pairs, build_corpus
 
     spec = CorpusSpec(quick=True)
     corpus = build_corpus(spec)
     pairs = [(a, b) for _, a, b in _representative_pairs(corpus, spec)]
-    pairs += [(a, other) for _, a, relabeled, b in _gi_triples(corpus, spec) for other in (relabeled, b)]
+    return pairs + [(a, other) for _, a, relabeled, b in _gi_triples(corpus, spec) for other in (relabeled, b)]
+
+
+def symmetry_results(workloads) -> list:
+    """The orbits and orbit-row counts the `symmetries` line digests, in order."""
+    from graphbind.binding import binding_graph, wing_graph
+    from graphbind.refine import _symmetry, search_automorphisms, seed_recognize_vertices
+
+    pairs = audit_pairs()
     for name, ops in (("decide-random", (1, 2)), ("decide-srg", (1,))):
         for seed in (7, 8):
             workload = workloads.WORKLOADS[name](seed)
@@ -262,6 +276,19 @@ def symmetry_results(workloads) -> list:
         rows = _symmetry(seeded, [bound.lift(pi) for pi in generators], True).representatives.size
         results.append([orbit, rows])
     return results
+
+
+def symmetric_collision_results() -> list:
+    """The decisions the `symmetric collisions` line digests, in order."""
+    from graphbind import refine
+    from graphbind.decide import gi_decide
+
+    prime = refine.PRIME
+    refine.PRIME = COLLISION_PRIME
+    try:
+        return [gi_decide(a, b, process=process).to_json() for a, b in audit_pairs() for process in ("sas", "wl")]
+    finally:
+        refine.PRIME = prime
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -365,6 +392,9 @@ def main(argv: list[str] | None = None) -> int:
     digest = hashlib.sha256(json.dumps(results).encode()).hexdigest()
     rows = sum(result[1] for result in results)
     print(f"{'symmetries':28s} calls={len(results):<5d} sha256={digest} rows={rows}", flush=True)
+    results = symmetric_collision_results()
+    digest = hashlib.sha256(json.dumps(results).encode()).hexdigest()
+    print(f"{'symmetric collisions':28s} calls={len(results):<5d} sha256={digest}", flush=True)
     return 0
 
 
